@@ -4,9 +4,10 @@ Subcommands: enumerate | verify | export | regress | oracle-check.
 Input is either a built-in family (--family, with --k/--m/--n/--labels)
 or a file (--input) holding a presentation or a diagram; diagram files
 are recognized by their ``arcs:`` line and run through the Wirtinger
-construction.  Exit codes: 0 success, 1 input or verification error,
-2 enumeration limit exceeded (so batch drivers can raise limits for
-just those cases).  QF_MAX_VERTICES overrides the default vertex limit.
+construction.  Exit codes: 0 success, 1 input or verification error
+or out of memory, 2 enumeration limit exceeded (so batch drivers can
+raise limits for just those cases).  QF_MAX_VERTICES overrides the
+default vertex limit.  Run as ``quandleforge`` or ``python -m quandleforge``.
 """
 
 from __future__ import annotations
@@ -105,9 +106,9 @@ def _emit(text: str, path: str | None):
 def format_stats(result, pres, graph) -> str:
     lines = [f"outcome={result.outcome}"]
     if graph is not None:
-        _, edge_sizes = components(graph)
+        orbits, edge_sizes = components(graph)
         lines.append(f"final_size={result.stats.live}")
-        lines.append(f"components={len(components(graph)[0])}")
+        lines.append(f"components={len(orbits)}")
         lines.append(
             "component_sizes=" + ",".join(str(edge_sizes[e]) for e in sorted(edge_sizes))
         )
@@ -320,6 +321,9 @@ def run(argv=None) -> int:
         return args.func(args)
     except (ParseError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
 
 

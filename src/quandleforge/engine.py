@@ -28,6 +28,7 @@ Coincidence processing keeps the lower-numbered vertex as representative.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -84,6 +85,21 @@ class EnumerationResult:
 
 class _LimitHit(Exception):
     pass
+
+
+class DenseGraph(NamedTuple):
+    """A Cayley graph's live vertices as dense element indices 0..n-1.
+
+    ``order[i]`` is the vertex id of element i (creation order, so
+    ``order`` is sorted).  Row g of ``actions`` / ``inverses`` is
+    generator g's forward / backward action on elements, -1 where
+    undefined; ``bases[g]`` is the element of g.
+    """
+
+    order: np.ndarray
+    actions: np.ndarray
+    inverses: np.ndarray
+    bases: np.ndarray
 
 
 class CayleyGraph:
@@ -256,19 +272,44 @@ class CayleyGraph:
             for table in tables
         )
 
+    def dense(self) -> DenseGraph:
+        """The live part of the graph as dense arrays.
+
+        Only the live rows of the action tables are read.  Their vertex
+        ids are resolved to representatives all at once, by following
+        ``parent`` as one array, so the cost is O(g n) plus one copy of
+        ``parent``.  Live vertices are numbered in creation order;
+        undefined images stay -1.
+        """
+        parent = np.asarray(self.parent, dtype=np.int64)
+        order = np.flatnonzero(np.asarray(self.live, dtype=bool))
+        live = order.tolist()
+
+        def element(ids):
+            while True:
+                up = parent[ids]
+                if np.array_equal(up, ids):
+                    return np.searchsorted(order, ids)
+                ids = up
+
+        def resolve(tables):
+            raw = np.array([[table[v] for v in live] for table in tables], dtype=np.int64)
+            raw = raw.reshape(len(self.gens), len(live))
+            return np.where(raw >= 0, element(raw), -1)
+
+        return DenseGraph(
+            order, resolve(self.fwd), resolve(self.bwd),
+            element(np.asarray(self.basepoint, dtype=np.int64)),
+        )
+
     def live_index(self) -> dict[int, int]:
         """Map live vertex ids to dense element indices in creation order."""
-        return {v: i for i, v in enumerate(self.live_vertices())}
+        order = self.dense().order
+        return dict(zip(order.tolist(), range(len(order))))
 
-    def dense_actions(self) -> list[np.ndarray]:
-        """Per generator, the action as a permutation of dense indices."""
-        order = self.live_vertices()
-        index = {v: i for i, v in enumerate(order)}
-        actions = []
-        for g in range(len(self.gens)):
-            table = self.fwd[g]
-            actions.append(np.array([index[self.find(table[v])] for v in order], dtype=np.int64))
-        return actions
+    def dense_actions(self) -> np.ndarray:
+        """Per generator (row), the action as a permutation of dense indices."""
+        return self.dense().actions
 
     def evaluate(self, expr: QuandleExpr) -> int:
         """The vertex of base^exponent, walking the Cayley graph."""
@@ -329,13 +370,15 @@ def enumerate_quandle(pres: Presentation, limits: EnumerationLimits | None = Non
         return EnumerationResult("limit-exceeded", None, graph.stats)
 
     graph.stats.live = graph.vertex_count()
-    assert graph.is_total(), "completed enumeration left a partial action"
+    if not graph.is_total():
+        raise RuntimeError("completed enumeration left a partial action")
     # cheap end-to-end re-check of the primaries, catching trace bugs early
     for rel in pres.primaries:
         v = graph.find(graph.basepoint[rel.lhs_base.id])
         for letter in rel.word:
             v = graph.action(letter.gen.id, v, letter.sign)
-        assert v == graph.find(graph.basepoint[rel.rhs.id]), f"primary relation {rel} broken"
+        if v != graph.find(graph.basepoint[rel.rhs.id]):
+            raise RuntimeError(f"primary relation {rel} broken")
     return EnumerationResult("completed", graph, graph.stats)
 
 
@@ -348,6 +391,50 @@ def collapse(graph: CayleyGraph, pending) -> None:
     graph.collapse(list(pending))
 
 
+def _flatten(parent: np.ndarray) -> np.ndarray:
+    """Resolve an array forest to its roots by pointer jumping."""
+    while True:
+        jumped = parent[parent]
+        if np.array_equal(jumped, parent):
+            return parent
+        parent = jumped
+
+
+def _orbit_roots(actions: np.ndarray) -> np.ndarray:
+    """The orbit of every element under the actions, named by its smallest element.
+
+    Each round hooks the larger root of every edge that joins two trees
+    onto the smaller one, then flattens the trees; every pointer goes to
+    a smaller element, so a tree's root is its smallest member.
+    """
+    n = actions.shape[1]
+    defined = actions >= 0
+    src = np.broadcast_to(np.arange(n), actions.shape)[defined]
+    dst = actions[defined]
+    root = np.arange(n)
+    while True:
+        a, b = root[src], root[dst]
+        split = a != b
+        if not split.any():
+            return root
+        np.minimum.at(root, np.maximum(a, b)[split], np.minimum(a, b)[split])
+        root = _flatten(root)
+
+
+def _orbits(graph: CayleyGraph, dense: DenseGraph) -> tuple[np.ndarray, dict[int, int]]:
+    """Orbit roots per element, and the component size of each graph edge."""
+    root = _orbit_roots(dense.actions)
+    sizes = np.bincount(root, minlength=len(root))
+    edge_sizes: dict[int, int] = {}
+    for gen in graph.gens:
+        edge = graph.pres.edge_of[gen]
+        size = int(sizes[root[dense.bases[gen.id]]])
+        if edge in edge_sizes and edge_sizes[edge] != size:
+            raise ValueError(f"edge {edge} maps to components of different sizes")
+        edge_sizes[edge] = size
+    return root, edge_sizes
+
+
 def components(graph: CayleyGraph):
     """Orbits of the vertex set under all generator actions.
 
@@ -356,85 +443,99 @@ def components(graph: CayleyGraph):
     edge_sizes maps each graph edge index to the size of the component
     containing that edge's generators.
     """
-    seen: set[int] = set()
-    orbits: list[list[int]] = []
-    orbit_of: dict[int, int] = {}
-    ngens = len(graph.gens)
-    for root in graph.live_vertices():
-        if root in seen:
-            continue
-        orbit = [root]
-        seen.add(root)
-        queue = [root]
-        while queue:
-            v = queue.pop()
-            for g in range(ngens):
-                for sign in (1, -1):
-                    w = graph.action(g, v, sign)
-                    if w is not None and w not in seen:
-                        seen.add(w)
-                        orbit.append(w)
-                        queue.append(w)
-        orbit.sort()
-        for v in orbit:
-            orbit_of[v] = len(orbits)
-        orbits.append(orbit)
-    edge_sizes: dict[int, int] = {}
-    for gen in graph.gens:
-        edge = graph.pres.edge_of[gen]
-        idx = orbit_of[graph.find(graph.basepoint[gen.id])]
-        size = len(orbits[idx])
-        if edge in edge_sizes and edge_sizes[edge] != size:
-            raise ValueError(f"edge {edge} maps to components of different sizes")
-        edge_sizes[edge] = size
+    dense = graph.dense()
+    root, edge_sizes = _orbits(graph, dense)
+    by_orbit = np.argsort(root, kind="stable")
+    cuts = np.flatnonzero(np.diff(root[by_orbit])) + 1
+    orbits = [dense.order[part].tolist() for part in np.split(by_orbit, cuts)]
     return orbits, edge_sizes
 
 
-def _element_columns(graph: CayleyGraph) -> np.ndarray:
-    """Point-symmetry permutation of every element, as dense columns.
+def _symmetry_rows(dense: DenseGraph) -> np.ndarray:
+    """Row x holds the point symmetry of element x, as a permutation.
 
     Element x reached as basepoint(b) acted by w has the point symmetry
-    conjugate to that of b; columns are built incrementally along a
-    breadth-first search seeded at the basepoints in generator order.
+    conjugate to that of b; rows are filled along a breadth-first search
+    seeded at the basepoints in generator order.  The n x n array is
+    allocated before any row is filled.
     """
-    order = graph.live_vertices()
-    index = {v: i for i, v in enumerate(order)}
-    n = len(order)
-    actions = graph.dense_actions()
-    inverses = [np.argsort(a) for a in actions]
-    cols: list[np.ndarray | None] = [None] * n
+    n = dense.actions.shape[1]
+    rows = np.empty((n, n), dtype=np.int64)
+    filled = [False] * n
     queue: list[int] = []
-    for g, gen in enumerate(graph.gens):
-        b = index[graph.find(graph.basepoint[gen.id])]
-        if cols[b] is None:
-            cols[b] = actions[g]
+    for g, b in enumerate(dense.bases.tolist()):
+        if not filled[b]:
+            rows[b] = dense.actions[g]
+            filled[b] = True
             queue.append(b)
-    head = 0
-    while head < len(queue):
-        p = queue[head]
-        head += 1
-        for g in range(len(graph.gens)):
-            for sign in (1, -1):
-                child = actions[g][p] if sign > 0 else inverses[g][p]
-                if cols[child] is None:
-                    # S_(p acted by g) = A_g o S_p o A_g^(-1)
-                    if sign > 0:
-                        cols[child] = actions[g][cols[p][inverses[g]]]
-                    else:
-                        cols[child] = inverses[g][cols[p][actions[g]]]
-                    queue.append(int(child))
-    if any(col is None for col in cols):
+    steps = [
+        (fwd, bwd, fwd.tolist(), bwd.tolist())
+        for fwd, bwd in zip(dense.actions, dense.inverses)
+    ]
+    for p in queue:  # the queue grows while it is read
+        for fwd, bwd, fwd_list, bwd_list in steps:
+            # S_(p acted by g) = A_g o S_p o A_g^(-1), and likewise for g^(-1)
+            for child, outer, inner in ((fwd_list[p], fwd, bwd), (bwd_list[p], bwd, fwd)):
+                if not filled[child]:
+                    np.take(outer, rows[p][inner], out=rows[child])
+                    filled[child] = True
+                    queue.append(child)
+    if not all(filled):
         raise ValueError("graph has elements unreachable from every basepoint")
-    return np.stack(cols, axis=1)
+    return rows
 
 
 def quandle_table(graph: CayleyGraph) -> np.ndarray:
     """The full binary operation table T[y][x] = y acted on by x.
 
     Rows and columns are indexed by dense element index (live vertices in
-    creation order).  The column of element x is its point symmetry.
+    creation order).  The column of element x is its point symmetry; the
+    result is the transposed view of an array holding those symmetries as
+    contiguous rows.
     """
-    return _element_columns(graph)
+    return _symmetry_rows(graph.dense()).T
+
+
+# Entries per row block in the n x n table checks; this bounds each
+# temporary they make, whatever n is.
+_BLOCK_ENTRIES = 1 << 20
+
+
+def _row_blocks(n: int):
+    step = max(1, _BLOCK_ENTRIES // n)
+    for start in range(0, n, step):
+        yield slice(start, min(start + step, n))
+
+
+def _rows_are_permutations(rows: np.ndarray) -> bool:
+    """Whether every row of a square array is a permutation of 0..n-1."""
+    identity = np.arange(rows.shape[1])
+    return all(
+        (np.sort(rows[block], axis=1) == identity).all() for block in _row_blocks(len(rows))
+    )
+
+
+def _preserves_table(rows: np.ndarray, u: np.ndarray) -> bool:
+    """Whether the permutation ``u`` is an automorphism of the operation
+    whose point symmetries are ``rows``: u(S_x(y)) = S_u(x)(u(y)) for all x, y."""
+    for block in _row_blocks(len(rows)):
+        image = rows[u[block]]
+        # row by row: numpy gathers within a 1-D row several times faster
+        # than along the last axis of a 2-D block
+        for row in image:
+            row[:] = row[u]
+        if not np.array_equal(np.take(u, rows[block]), image):
+            return False
+    return True
+
+
+def _follow(dense: DenseGraph, word, start):
+    """The element(s) reached from ``start`` (an element or an array of
+    elements) along a word of generator letters."""
+    cur = start
+    for letter in word:
+        cur = (dense.actions if letter.sign > 0 else dense.inverses)[letter.gen.id][cur]
+    return cur
 
 
 def verify(graph: CayleyGraph, pres: Presentation, full_axiom_limit: int = 400) -> list[str]:
@@ -448,69 +549,52 @@ def verify(graph: CayleyGraph, pres: Presentation, full_axiom_limit: int = 400) 
     Up to ``full_axiom_limit`` elements, the axioms are additionally
     checked on all pairs/triples of the operation table directly.
     Returns a list of violations; empty means verified.
+
+    Memory: the axiom checks hold one n x n int64 operation table, 8 n^2
+    bytes (71 MB at 2976 elements, 2.16 GiB at 17040), and check it in
+    row blocks of about 2^20 entries; everything else is O(g n) for g
+    generators.  A table that cannot be allocated raises MemoryError.
     """
     violations: list[str] = []
-    order = graph.live_vertices()
-    index = {v: i for i, v in enumerate(order)}
+    dense = graph.dense()
+    actions, inverses, order = dense.actions, dense.inverses, dense.order
     n = len(order)
-    ngens = len(graph.gens)
+    identity = np.arange(n)
 
-    for g in range(ngens):
-        for v in order:
-            f = graph.fwd[g][v]
-            if f < 0 or graph.bwd[g][v] < 0:
-                violations.append(f"action of {graph.gens[g].name} partial at vertex {v}")
-                continue
-            back = graph.bwd[g][graph.find(f)]
-            if back < 0 or graph.find(back) != v:
-                violations.append(f"fwd/bwd inconsistent for {graph.gens[g].name} at vertex {v}")
+    for g, gen in enumerate(graph.gens):
+        partial = (actions[g] < 0) | (inverses[g] < 0)
+        back = inverses[g][np.where(partial, 0, actions[g])]
+        for i in np.flatnonzero(partial | (back != identity)).tolist():
+            if partial[i]:
+                violations.append(f"action of {gen.name} partial at vertex {order[i]}")
+            else:
+                violations.append(f"fwd/bwd inconsistent for {gen.name} at vertex {order[i]}")
     if violations:
         return violations
 
-    actions = graph.dense_actions()
     for g, gen in enumerate(graph.gens):
-        if sorted(actions[g].tolist()) != list(range(n)):
+        if not np.array_equal(np.sort(actions[g]), identity):
             violations.append(f"action of {gen.name} is not a bijection")
-        b = index[graph.find(graph.basepoint[gen.id])]
+        b = dense.bases[g]
         if actions[g][b] != b:
             violations.append(f"axiom A1 fails: no loop at the vertex of {gen.name}")
 
     for rel in pres.primaries:
-        start = graph.find(graph.basepoint[rel.lhs_base.id])
-        v = start
-        ok = True
-        for letter in rel.word:
-            nxt = graph.action(letter.gen.id, v, letter.sign)
-            if nxt is None:
-                ok = False
-                break
-            v = nxt
-        if not ok or v != graph.find(graph.basepoint[rel.rhs.id]):
+        if _follow(dense, rel.word, dense.bases[rel.lhs_base.id]) != dense.bases[rel.rhs.id]:
             violations.append(f"primary relation {rel} does not hold")
 
     for rel in pres.universals:
-        word = [(letter.gen.id, letter.sign) for letter in rel.word]
-        for v in order:
-            cur = v
-            for gen_id, sign in word:
-                cur = graph.action(gen_id, cur, sign)
-            if cur != v:
-                violations.append(f"universal relation {rel} open at vertex {v}")
-                break
+        open_at = np.flatnonzero(_follow(dense, rel.word, identity) != identity)
+        if open_at.size:
+            violations.append(f"universal relation {rel} open at vertex {order[open_at[0]]}")
 
-    orbits, _ = components(graph)
-    orbit_of: dict[int, int] = {}
-    for i, orbit in enumerate(orbits):
-        for v in orbit:
-            orbit_of[v] = i
+    root, _ = _orbits(graph, dense)
     orbit_label: dict[int, int] = {}
-    for gen in graph.gens:
-        i = orbit_of[graph.find(graph.basepoint[gen.id])]
+    for g, gen in enumerate(graph.gens):
         want = pres.label_of(gen)
-        if orbit_label.setdefault(i, want) != want:
+        if orbit_label.setdefault(int(root[dense.bases[g]]), want) != want:
             violations.append(f"component of {gen.name} carries conflicting labels")
 
-    identity = np.arange(n)
     for g, gen in enumerate(graph.gens):
         power = identity
         for _ in range(pres.label_of(gen)):
@@ -520,43 +604,38 @@ def verify(graph: CayleyGraph, pres: Presentation, full_axiom_limit: int = 400) 
                 f"point symmetry of {gen.name} does not have order dividing {pres.label_of(gen)}"
             )
 
-    table = quandle_table(graph)
+    rows = _symmetry_rows(dense)  # rows[x] is column x of the table
     for g, gen in enumerate(graph.gens):
-        b = index[graph.find(graph.basepoint[gen.id])]
-        if not np.array_equal(table[:, b], actions[g]):
+        if not np.array_equal(rows[dense.bases[g]], actions[g]):
             violations.append(f"table column of {gen.name} differs from its stored action")
 
-    if not np.array_equal(np.diagonal(table), identity):
+    if not np.array_equal(np.diagonal(rows), identity):
         violations.append("axiom A1 fails on the operation table")
-    cols_sorted = np.sort(table, axis=0)
-    if not np.array_equal(cols_sorted, np.tile(identity[:, None], (1, n))):
+    if not _rows_are_permutations(rows):
         violations.append("axiom A2 fails: some column is not a bijection")
 
     # A3 for all triples reduces to every generator's point symmetry being
     # a homomorphism: every element's symmetry is a conjugate of one of
     # these, and conjugates/composites of automorphisms are automorphisms.
     for g, gen in enumerate(graph.gens):
-        u = actions[g]
-        if not np.array_equal(u[table], table[np.ix_(u, u)]):
+        if not _preserves_table(rows, actions[g]):
             violations.append(f"axiom A3 fails under the point symmetry of {gen.name}")
 
     if n <= full_axiom_limit:
         for z in range(n):
-            u = table[:, z]
-            if not np.array_equal(u[table], table[np.ix_(u, u)]):
+            if not _preserves_table(rows, rows[z]):
                 violations.append(f"axiom A3 fails at element {z}")
                 break
         label_of_orbit = {}
-        for gen in graph.gens:
-            label_of_orbit[orbit_of[graph.find(graph.basepoint[gen.id])]] = pres.label_of(gen)
-        for v in order:
-            i = orbit_of[v]
-            if i not in label_of_orbit:
+        for g, gen in enumerate(graph.gens):
+            label_of_orbit[int(root[dense.bases[g]])] = pres.label_of(gen)
+        for i, v in enumerate(order.tolist()):
+            label = label_of_orbit.get(int(root[i]))
+            if label is None:
                 continue
-            col = table[:, index[v]]
             power = identity
-            for _ in range(label_of_orbit[i]):
-                power = col[power]
+            for _ in range(label):
+                power = rows[i][power]
             if not np.array_equal(power, identity):
                 violations.append(f"element {v} violates the order of its component label")
                 break
@@ -596,10 +675,9 @@ def canonical_code_of_actions(actions, base: int, names=None) -> str:
 
 def canonical_code(graph: CayleyGraph, base: int) -> str:
     """Canonical code of the component of ``base`` in a completed graph."""
-    index = graph.live_index()
-    actions = graph.dense_actions()
+    dense = graph.dense()
     return canonical_code_of_actions(
-        actions,
-        index[graph.find(base)],
+        dense.actions,
+        int(np.searchsorted(dense.order, graph.find(base))),
         [gen.name for gen in graph.gens],
     )

@@ -1,6 +1,10 @@
 """Command-line interface: exit codes, formats, determinism, round trips."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -153,3 +157,23 @@ def test_env_var_limit_override(capsys, monkeypatch):
 def test_bad_usage_exits_nonzero(capsys):
     assert run(["enumerate", "--family", "nosuch"]) == 1
     assert run([]) == 1
+
+
+def test_out_of_memory_exits_one(capsys, monkeypatch):
+    def exhausted(graph, pres):
+        raise MemoryError("Unable to allocate 2.16 GiB")
+
+    monkeypatch.setattr("quandleforge.cli.verify", exhausted)
+    code, _, err = invoke(capsys, "enumerate", "--family", "theta3", "--labels", "3,3,2")
+    assert code == 1
+    assert err == "error: out of memory: Unable to allocate 2.16 GiB\n"
+
+
+def test_python_dash_m():
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "quandleforge", "enumerate", "--family", "theta3", "--labels", "3,3,2"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "final_size=14" in proc.stdout

@@ -1,6 +1,7 @@
 """Enumeration engine: tracing, collapsing, completion, verification."""
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from quandleforge import (
     trace,
     verify,
 )
+from quandleforge import engine
 from quandleforge.presentation import UniversalRelation
 
 THETA = "gens: a b c\nedges: a:1 b:2 c:3\nlabels: 3 3 2\nrel * : a b c\n"
@@ -230,7 +232,57 @@ def test_verify_reports_fault_injection():
     graph.bwd[a][graph.find(t2)] = v1
     graph.bwd[a][graph.find(t1)] = v2
     violations = verify(graph, pres)
-    assert violations
+    assert violations == [
+        "universal relation x^[a b c] = x open at vertex 1",
+        "universal relation x^[a a a] = x open at vertex 1",
+        "point symmetry of a does not have order dividing 3",
+        "axiom A3 fails under the point symmetry of a",
+        "axiom A3 fails under the point symmetry of b",
+        "axiom A3 fails under the point symmetry of c",
+        "axiom A3 fails at element 0",
+        "element 0 violates the order of its component label",
+    ]
+
+
+def test_blockwise_table_checks_match_whole_table():
+    """The row-block A2/A3 checks agree with the same checks written on
+    the whole table, including a fault in the last, partial block."""
+    n = 1100
+    step = engine._BLOCK_ENTRIES // n
+    assert 1 < step < n and n % step
+    rng = np.random.default_rng(7)
+    identity = np.arange(n)
+    dihedral = (2 * identity[:, None] - identity[None, :]) % n  # rows[x][y] = 2x - y
+    broken = dihedral.copy()
+    broken[n - 1, 7] = broken[n - 1, 8]
+    shuffled = rng.permuted(np.tile(identity, (n, 1)), axis=1)
+    arbitrary = rng.integers(0, n, size=(n, n))
+    cases = [(dihedral, True), (broken, False), (shuffled, True), (arbitrary, False)]
+    for rows, permutations in cases:
+        table = rows.T
+        whole_a2 = np.array_equal(np.sort(table, axis=0), np.tile(identity[:, None], (1, n)))
+        assert whole_a2 == permutations
+        assert engine._rows_are_permutations(rows) == whole_a2
+        for u in (dihedral[3], dihedral[n - 1], rng.permutation(n)):
+            whole_a3 = np.array_equal(u[table], table[np.ix_(u, u)])
+            assert engine._preserves_table(rows, u) == whole_a3
+    assert engine._preserves_table(dihedral, dihedral[3])
+    assert not engine._preserves_table(broken, dihedral[3])
+
+
+def test_verify_memory_is_one_table():
+    """verify holds one n x n int64 table and O(g n) besides."""
+    pres = expand_relations(family_presentation(FamilyParams("DH", labels=(2, 2, 2, 3, 2, 4))))
+    graph = enumerate_ok(pres, limit=10**6).graph
+    n = len(graph.live_vertices())
+    assert n == 2976
+    tracemalloc.start()
+    try:
+        assert verify(graph, pres) == []
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * 8 * n * n
 
 
 def test_canonical_code_invariance_under_relabeling():
