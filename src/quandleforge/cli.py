@@ -17,10 +17,15 @@ import json
 import os
 import sys
 
+import numpy as np
+
 from . import diagram as diagram_mod
 from .engine import (
+    DEFAULT_MAX_STEPS,
+    DEFAULT_MAX_VERTICES,
     CayleyGraph,
     EnumerationLimits,
+    _orbits,
     canonical_code,
     components,
     enumerate_quandle,
@@ -48,7 +53,12 @@ def _default_max_vertices() -> int:
             return int(env)
         except ValueError:
             raise SystemExit(f"QF_MAX_VERTICES must be an integer, got {env!r}")
-    return 1_000_000
+    return DEFAULT_MAX_VERTICES
+
+
+def _add_limit_options(sub: argparse.ArgumentParser):
+    sub.add_argument("--max-vertices", type=int, default=None)
+    sub.add_argument("--max-steps", type=int, default=DEFAULT_MAX_STEPS)
 
 
 def _add_input_options(sub: argparse.ArgumentParser):
@@ -58,8 +68,13 @@ def _add_input_options(sub: argparse.ArgumentParser):
     sub.add_argument("--m", type=int, help="first strut label")
     sub.add_argument("--n", type=int, help="second strut label")
     sub.add_argument("--labels", help="edge labels n1,n2,... overriding the input's")
-    sub.add_argument("--max-vertices", type=int, default=None)
-    sub.add_argument("--max-steps", type=int, default=1_000_000_000)
+    _add_limit_options(sub)
+
+
+def _add_output_options(sub: argparse.ArgumentParser, default_format: str):
+    sub.add_argument("--format", choices=("stats", "dot", "json", "table"), default=default_format)
+    sub.add_argument("--output", "-o", metavar="FILE")
+    sub.add_argument("--no-loops", action="store_true", help="suppress self-loop edges in DOT")
 
 
 def _parse_labels(text: str | None):
@@ -120,52 +135,33 @@ def format_stats(result, pres, graph) -> str:
 def export_dot(graph: CayleyGraph, no_loops: bool = False) -> str:
     """Deterministic DOT rendering: one node per element, one directed
     edge per (element, generator), colored by generator."""
-    order = graph.live_vertices()
-    index = {v: i for i, v in enumerate(order)}
+    dense = graph.dense()
     lines = ["digraph quandle {"]
-    for v in order:
-        lines.append(f'  n{index[v]} [label="{index[v]}"];')
-    for g, gen in enumerate(graph.gens):
-        color = DOT_COLORS[g % len(DOT_COLORS)]
-        for v in order:
-            w = graph.find(graph.fwd[g][v])
-            if no_loops and w == v:
-                continue
-            lines.append(
-                f'  n{index[v]} -> n{index[w]} [label="{gen.name}" color="{color}"];'
-            )
+    lines += [f'  n{i} [label="{i}"];' for i in range(len(dense.order))]
+    for g, (gen, row) in enumerate(zip(graph.gens, dense.actions.tolist())):
+        attrs = f'[label="{gen.name}" color="{DOT_COLORS[g % len(DOT_COLORS)]}"];'
+        lines += [f"  n{i} -> n{j} {attrs}" for i, j in enumerate(row) if not (no_loops and i == j)]
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
 def export_json(graph: CayleyGraph, pres: Presentation, stats) -> str:
     """Stable JSON export: size, labels, components and generator actions."""
-    order = graph.live_vertices()
-    index = {v: i for i, v in enumerate(order)}
-    orbits, edge_sizes = components(graph)
-    orbit_of = {}
-    for i, orbit in enumerate(orbits):
-        for v in orbit:
-            orbit_of[v] = i
-    edge_orbit = {
-        pres.edge_of[gen]: orbit_of[graph.find(graph.basepoint[gen.id])]
-        for gen in graph.gens
-    }
+    dense = graph.dense()
+    root, edge_sizes = _orbits(graph, dense)
+    edge_root = {pres.edge_of[gen]: root[dense.bases[gen.id]] for gen in graph.gens}
     doc = {
-        "size": len(order),
+        "size": len(dense.order),
         "edge_labels": list(pres.labels),
         "components": [
             {
                 "edge": edge,
                 "size": edge_sizes[edge],
-                "members": sorted(index[v] for v in orbits[edge_orbit[edge]]),
+                "members": np.flatnonzero(root == edge_root[edge]).tolist(),
             }
             for edge in sorted(edge_sizes)
         ],
-        "actions": {
-            gen.name: [index[graph.find(graph.fwd[g][v])] for v in order]
-            for g, gen in enumerate(graph.gens)
-        },
+        "actions": {gen.name: row for gen, row in zip(graph.gens, dense.actions.tolist())},
         "stats": stats.as_dict(),
     }
     return json.dumps(doc, indent=2) + "\n"
@@ -174,9 +170,9 @@ def export_json(graph: CayleyGraph, pres: Presentation, stats) -> str:
 def format_table(graph: CayleyGraph) -> str:
     table = quandle_table(graph)
     n = table.shape[0]
-    width = len(str(n - 1))
-    rows = [" ".join(f"{int(table[y, x]):{width}d}" for x in range(n)) for y in range(n)]
-    return "\n".join(rows) + "\n"
+    # one row at a time, so that no n^2 list of Python ints is ever held
+    row_format = " ".join([f"%{len(str(n - 1))}d"] * n)
+    return "".join(row_format % tuple(row.tolist()) + "\n" for row in table)
 
 
 def cmd_enumerate(args) -> int:
@@ -216,16 +212,9 @@ def cmd_verify(args) -> int:
     return 0 if not violations else 1
 
 
-def cmd_export(args) -> int:
-    return cmd_enumerate(args)
-
-
 def cmd_regress(args) -> int:
     rows = table1_rows()
-    limits = EnumerationLimits(
-        max_vertices=args.max_vertices if args.max_vertices is not None else _default_max_vertices(),
-        max_steps=args.max_steps,
-    )
+    limits = _limits(args)
     failures = 0
     for row in rows:
         if row.get("slow") and args.skip_slow:
@@ -278,9 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     enum = subs.add_parser("enumerate", help="enumerate a quandle and print or export it")
     _add_input_options(enum)
-    enum.add_argument("--format", choices=("stats", "dot", "json", "table"), default="stats")
-    enum.add_argument("--output", "-o", metavar="FILE")
-    enum.add_argument("--no-loops", action="store_true", help="suppress self-loop edges in DOT")
+    _add_output_options(enum, "stats")
     enum.set_defaults(func=cmd_enumerate)
 
     ver = subs.add_parser("verify", help="enumerate and check axioms and relations")
@@ -289,23 +276,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     exp = subs.add_parser("export", help="alias of enumerate for writing artifacts")
     _add_input_options(exp)
-    exp.add_argument("--format", choices=("stats", "dot", "json", "table"), default="json")
-    exp.add_argument("--output", "-o", metavar="FILE")
-    exp.add_argument("--no-loops", action="store_true")
-    exp.set_defaults(func=cmd_export)
+    _add_output_options(exp, "json")
+    exp.set_defaults(func=cmd_enumerate)
 
     reg = subs.add_parser("regress", help="run the shipped size-regression manifest")
     reg.add_argument("--skip-slow", action="store_true", help="skip rows marked slow")
-    reg.add_argument("--max-vertices", type=int, default=None)
-    reg.add_argument("--max-steps", type=int, default=1_000_000_000)
+    _add_limit_options(reg)
     reg.set_defaults(func=cmd_regress)
 
     orc = subs.add_parser("oracle-check", help="compare enumerated components to the closed-form models")
     orc.add_argument("--k", type=int)
     orc.add_argument("--m", type=int)
     orc.add_argument("--n", type=int)
-    orc.add_argument("--max-vertices", type=int, default=None)
-    orc.add_argument("--max-steps", type=int, default=1_000_000_000)
+    _add_limit_options(orc)
     orc.set_defaults(func=cmd_oracle_check)
 
     return parser

@@ -27,7 +27,9 @@ Coincidence processing keeps the lower-numbered vertex as representative.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -38,11 +40,16 @@ from .words import GroupWord, QuandleExpr
 
 DEFAULT_MAX_VERTICES = 1_000_000
 DEFAULT_MAX_STEPS = 1_000_000_000
+INT32_MAX = 2**31 - 1  # the largest vertex budget: vertex ids are stored as int32
 
 
 @dataclass(frozen=True)
 class EnumerationLimits:
-    """Budget for a single enumeration; both counts must be positive."""
+    """Budget for a single enumeration; both counts must be positive.
+
+    Vertex ids are stored as int32, so ``max_vertices`` is at most
+    2**31 - 1.
+    """
 
     max_vertices: int = DEFAULT_MAX_VERTICES
     max_steps: int = DEFAULT_MAX_STEPS
@@ -50,6 +57,10 @@ class EnumerationLimits:
     def __post_init__(self):
         if self.max_vertices < 1 or self.max_steps < 1:
             raise ValueError("enumeration limits must be positive")
+        if self.max_vertices > INT32_MAX:
+            raise ValueError(
+                f"max_vertices {self.max_vertices} exceeds the int32 vertex id limit {INT32_MAX}"
+            )
 
 
 @dataclass
@@ -113,6 +124,16 @@ class CayleyGraph:
     :meth:`find` when read.  In a completed graph every action is total
     on live vertices and the vertex of each generator carries a loop
     under that generator.
+
+    Storage is indexed by vertex id: ``fwd[g]`` and ``bwd[g]`` are
+    ``array("i")`` int32 tables, ``live`` and ``processed`` are
+    bytearrays and ``parent`` is a list.  They are grown in place
+    together, by an eighth of their capacity and at least 1024 slots,
+    when a vertex is created at capacity, so each stays the same object
+    for the graph's whole life; slots past ``size`` (the number of
+    vertices created) hold -1 or 0.  A created vertex costs about
+    8 g + 40 bytes for g generators whether or not it is still live, and
+    ``limits.max_vertices`` bounds created vertices, not live ones.
     """
 
     def __init__(self, pres: Presentation, limits: EnumerationLimits):
@@ -120,11 +141,13 @@ class CayleyGraph:
         self.gens = pres.generators
         self.limits = limits
         ngens = len(self.gens)
-        self.fwd: list[list[int]] = [[] for _ in range(ngens)]
-        self.bwd: list[list[int]] = [[] for _ in range(ngens)]
+        self.fwd: list[array] = [array("i") for _ in range(ngens)]
+        self.bwd: list[array] = [array("i") for _ in range(ngens)]
+        self.tables = self.fwd + self.bwd
         self.parent: list[int] = []
-        self.live: list[bool] = []
-        self.processed: list[bool] = []
+        self.live = bytearray()
+        self.processed = bytearray()
+        self.size = 0
         self.dirty: set[int] = set()
         self.stats = EnumerationStats()
         self.basepoint: list[int] = [self.add_vertex() for _ in self.gens]
@@ -135,17 +158,24 @@ class CayleyGraph:
 
     # -- vertex bookkeeping -------------------------------------------------
 
+    def _grow(self) -> None:
+        chunk = max(len(self.parent) // 8, 1024)
+        undefined = array("i", [-1]) * chunk
+        for table in self.tables:
+            table.extend(undefined)
+        self.parent.extend(repeat(-1, chunk))
+        self.live.extend(bytes(chunk))
+        self.processed.extend(bytes(chunk))
+
     def add_vertex(self) -> int:
-        if len(self.parent) >= self.limits.max_vertices:
+        v = self.size
+        if v >= self.limits.max_vertices:
             raise _LimitHit
-        v = len(self.parent)
-        self.parent.append(v)
-        self.live.append(True)
-        self.processed.append(False)
-        for table in self.fwd:
-            table.append(-1)
-        for table in self.bwd:
-            table.append(-1)
+        if v == len(self.parent):
+            self._grow()
+        self.parent[v] = v
+        self.live[v] = 1
+        self.size = v + 1
         self.stats.vertices_created += 1
         return v
 
@@ -159,10 +189,10 @@ class CayleyGraph:
         return root
 
     def vertex_count(self) -> int:
-        return sum(self.live)
+        return self.live.count(1)
 
     def live_vertices(self) -> list[int]:
-        return [v for v in range(len(self.parent)) if self.live[v]]
+        return self._order().tolist()
 
     def action(self, gen_id: int, v: int, sign: int = 1) -> int | None:
         """The image of a live vertex under one generator letter, or None."""
@@ -170,84 +200,99 @@ class CayleyGraph:
         raw = table[self.find(v)]
         return None if raw < 0 else self.find(raw)
 
-    def _step(self):
-        self.stats.steps += 1
-        if self.stats.steps > self.limits.max_steps:
-            raise _LimitHit
-
     # -- tracing and collapsing ---------------------------------------------
 
     def trace(self, start: int, letters, target: int | None = None) -> list[tuple[int, int]]:
         """Walk a word from ``start``, forcing the last edge onto ``target``.
 
-        ``letters`` is a sequence of (generator id, sign) pairs.  Edges and
-        vertices are created as needed except for the final letter, whose
-        edge must land on ``target`` (``start`` itself when ``target`` is
-        None, i.e. a universal relation traced as a closed loop).  Returns
-        the coincidences discovered; no merging happens here.
+        ``letters`` holds one (out table, in table) pair per letter:
+        ``(fwd[g], bwd[g])`` for a generator g and ``(bwd[g], fwd[g])``
+        for its inverse.  Edges and vertices are created as needed except
+        for the final letter, whose edge must land on ``target``
+        (``start`` itself when ``target`` is None, i.e. a universal
+        relation traced as a closed loop).  Returns the coincidences
+        discovered; no merging happens here.
         """
-        cur = self.find(start)
-        goal = cur if target is None else self.find(target)
+        parent = self.parent
+        find = self.find
+        cur = start if parent[start] == start else find(start)
+        if target is None:
+            goal = cur
+        else:
+            goal = target if parent[target] == target else find(target)
         if not letters:
             return [] if goal == cur else [(cur, goal)]
         pending: list[tuple[int, int]] = []
+        processed = self.processed
+        max_steps = self.limits.max_steps
+        steps = self.stats.steps
         last = len(letters) - 1
-        for i, (gen_id, sign) in enumerate(letters):
-            self._step()
-            if sign > 0:
-                out_table, in_table = self.fwd[gen_id], self.bwd[gen_id]
-            else:
-                out_table, in_table = self.bwd[gen_id], self.fwd[gen_id]
-            nxt = out_table[cur]
-            if nxt >= 0:
-                nxt = self.find(nxt)
-                if i == last and nxt != goal:
-                    pending.append((nxt, goal))
-                cur = nxt
-            elif i < last:
-                new = self.add_vertex()
-                out_table[cur] = new
-                in_table[new] = cur
-                if self.processed[cur]:
-                    self.dirty.add(cur)
-                cur = new
-            else:
-                back = in_table[goal]
-                if back >= 0:
-                    back = self.find(back)
-                    if back != cur:
-                        pending.append((back, cur))
-                    # else the edge already exists and the loop closes
+        try:
+            for i, (out_table, in_table) in enumerate(letters):
+                steps += 1
+                if steps > max_steps:
+                    raise _LimitHit
+                nxt = out_table[cur]
+                if nxt >= 0:
+                    if parent[nxt] != nxt:
+                        nxt = find(nxt)
+                    if i == last and nxt != goal:
+                        pending.append((nxt, goal))
+                    cur = nxt
+                elif i < last:
+                    new = self.add_vertex()
+                    out_table[cur] = new
+                    in_table[new] = cur
+                    if processed[cur]:
+                        self.dirty.add(cur)
+                    cur = new
                 else:
-                    out_table[cur] = goal
-                    in_table[goal] = cur
-                    for v in (cur, goal):
-                        if self.processed[v]:
-                            self.dirty.add(v)
+                    back = in_table[goal]
+                    if back >= 0:
+                        if parent[back] != back:
+                            back = find(back)
+                        if back != cur:
+                            pending.append((back, cur))
+                        # else the edge already exists and the loop closes
+                    else:
+                        out_table[cur] = goal
+                        in_table[goal] = cur
+                        for v in (cur, goal):
+                            if processed[v]:
+                                self.dirty.add(v)
+        finally:
+            self.stats.steps = steps
         return pending
 
-    def collapse(self, pending: list[tuple[int, int]]) -> None:
-        """Process coincidences to exhaustion.
+    def collapse(self, queue: list[tuple[int, int]]) -> None:
+        """Process coincidences to exhaustion, consuming ``queue``.
 
         Merging keeps the lower-numbered representative and reconciles
         each generator's in/out edges, queueing new coincidences whenever
         both vertices carried distinct images.  Afterwards no live vertex
         has two same-labeled edges in or out.
         """
-        queue = list(pending)
-        while queue:
-            u, v = queue.pop()
-            ru, rv = self.find(u), self.find(v)
-            if ru == rv:
-                continue
-            if rv < ru:
-                ru, rv = rv, ru
-            self._step()
-            self.parent[rv] = ru
-            self.live[rv] = False
-            self.stats.merges += 1
-            changed = False
-            for tables in (self.fwd, self.bwd):
+        parent, live, processed, dirty = self.parent, self.live, self.processed, self.dirty
+        find = self.find
+        tables = self.tables
+        max_steps = self.limits.max_steps
+        steps, merges = self.stats.steps, self.stats.merges
+        try:
+            while queue:
+                u, v = queue.pop()
+                ru = u if parent[u] == u else find(u)
+                rv = v if parent[v] == v else find(v)
+                if ru == rv:
+                    continue
+                if rv < ru:
+                    ru, rv = rv, ru
+                steps += 1
+                if steps > max_steps:
+                    raise _LimitHit
+                parent[rv] = ru
+                live[rv] = 0
+                merges += 1
+                changed = False
                 for table in tables:
                     tv = table[rv]
                     if tv < 0:
@@ -256,21 +301,32 @@ class CayleyGraph:
                     if tu < 0:
                         table[ru] = tv
                         changed = True
-                    elif self.find(tu) != self.find(tv):
+                    elif (tu if parent[tu] == tu else find(tu)) != (
+                        tv if parent[tv] == tv else find(tv)
+                    ):
                         queue.append((tu, tv))
-            if changed and self.processed[ru]:
-                self.dirty.add(ru)
-            self.dirty.discard(rv)
+                if changed and processed[ru]:
+                    dirty.add(ru)
+                dirty.discard(rv)
+        finally:
+            self.stats.steps, self.stats.merges = steps, merges
 
     # -- analysis helpers (completed graphs) ---------------------------------
 
+    def _order(self) -> np.ndarray:
+        """Live vertex ids in creation order."""
+        return np.flatnonzero(np.frombuffer(self.live, dtype=np.uint8, count=self.size))
+
+    @staticmethod
+    def _rows(tables, order: np.ndarray) -> np.ndarray:
+        """The ``order`` rows of int32 tables, one table per output row."""
+        rows = np.empty((len(tables), len(order)), dtype=np.int32)
+        for table, row in zip(tables, rows):
+            np.take(np.frombuffer(table, dtype=np.int32), order, out=row)
+        return rows
+
     def is_total(self) -> bool:
-        return all(
-            table[v] >= 0
-            for v in self.live_vertices()
-            for tables in (self.fwd, self.bwd)
-            for table in tables
-        )
+        return bool((self._rows(self.tables, self._order()) >= 0).all())
 
     def dense(self) -> DenseGraph:
         """The live part of the graph as dense arrays.
@@ -281,9 +337,8 @@ class CayleyGraph:
         ``parent``.  Live vertices are numbered in creation order;
         undefined images stay -1.
         """
-        parent = np.asarray(self.parent, dtype=np.int64)
-        order = np.flatnonzero(np.asarray(self.live, dtype=bool))
-        live = order.tolist()
+        parent = np.fromiter(self.parent, dtype=np.int64, count=self.size)
+        order = self._order()
 
         def element(ids):
             while True:
@@ -293,8 +348,7 @@ class CayleyGraph:
                 ids = up
 
         def resolve(tables):
-            raw = np.array([[table[v] for v in live] for table in tables], dtype=np.int64)
-            raw = raw.reshape(len(self.gens), len(live))
+            raw = self._rows(tables, order)
             return np.where(raw >= 0, element(raw), -1)
 
         return DenseGraph(
@@ -322,6 +376,15 @@ class CayleyGraph:
         return v
 
 
+def _letter_tables(graph: CayleyGraph, word: GroupWord) -> list[tuple[array, array]]:
+    """The (out table, in table) pair of each letter, as :meth:`CayleyGraph.trace` takes them."""
+    return [
+        (graph.fwd[letter.gen.id], graph.bwd[letter.gen.id]) if letter.sign > 0
+        else (graph.bwd[letter.gen.id], graph.fwd[letter.gen.id])
+        for letter in word
+    ]
+
+
 def enumerate_quandle(pres: Presentation, limits: EnumerationLimits | None = None) -> EnumerationResult:
     """Run Winker's method on an expanded presentation.
 
@@ -333,43 +396,46 @@ def enumerate_quandle(pres: Presentation, limits: EnumerationLimits | None = Non
     if limits is None:
         limits = EnumerationLimits()
     graph = CayleyGraph(pres, limits)
-    encoded_universals = [
-        [(letter.gen.id, letter.sign) for letter in rel.word] for rel in pres.universals
-    ]
+    stats = graph.stats
+    universals = [_letter_tables(graph, rel.word) for rel in pres.universals]
     try:
         for rel in pres.primaries:
-            letters = [(letter.gen.id, letter.sign) for letter in rel.word]
             start = graph.basepoint[rel.lhs_base.id]
             target = graph.basepoint[rel.rhs.id]
-            graph.collapse(graph.trace(start, letters, target))
-            graph.stats.relations_traced += 1
+            pending = graph.trace(start, _letter_tables(graph, rel.word), target)
+            if pending:
+                graph.collapse(pending)
+            stats.relations_traced += 1
 
+        live, processed, dirty = graph.live, graph.processed, graph.dirty
         pointer = 0
         while True:
-            if pointer < len(graph.parent):
+            if pointer < graph.size:
                 v = pointer
                 pointer += 1
-                if not graph.live[v] or graph.processed[v]:
+                if not live[v] or processed[v]:
                     continue
-            elif graph.dirty:
-                v = min(graph.dirty)
-                graph.dirty.discard(v)
-                if not graph.live[v]:
+            elif dirty:
+                v = min(dirty)
+                dirty.discard(v)
+                if not live[v]:
                     continue
             else:
                 break
             cur = graph.find(v)
-            for letters in encoded_universals:
-                graph.collapse(graph.trace(cur, letters))
-                graph.stats.relations_traced += 1
-                cur = graph.find(cur)
-            graph.processed[cur] = True
-            graph.dirty.discard(cur)
+            for letters in universals:
+                pending = graph.trace(cur, letters)
+                if pending:
+                    graph.collapse(pending)
+                    cur = graph.find(cur)
+                stats.relations_traced += 1
+            processed[cur] = 1
+            dirty.discard(cur)
     except _LimitHit:
-        graph.stats.live = graph.vertex_count()
-        return EnumerationResult("limit-exceeded", None, graph.stats)
+        stats.live = graph.vertex_count()
+        return EnumerationResult("limit-exceeded", None, stats)
 
-    graph.stats.live = graph.vertex_count()
+    stats.live = graph.vertex_count()
     if not graph.is_total():
         raise RuntimeError("completed enumeration left a partial action")
     # cheap end-to-end re-check of the primaries, catching trace bugs early
@@ -379,12 +445,12 @@ def enumerate_quandle(pres: Presentation, limits: EnumerationLimits | None = Non
             v = graph.action(letter.gen.id, v, letter.sign)
         if v != graph.find(graph.basepoint[rel.rhs.id]):
             raise RuntimeError(f"primary relation {rel} broken")
-    return EnumerationResult("completed", graph, graph.stats)
+    return EnumerationResult("completed", graph, stats)
 
 
 def trace(graph: CayleyGraph, start: int, word: GroupWord, target: int | None = None):
     """Word-level wrapper over :meth:`CayleyGraph.trace`."""
-    return graph.trace(start, [(letter.gen.id, letter.sign) for letter in word], target)
+    return graph.trace(start, _letter_tables(graph, word), target)
 
 
 def collapse(graph: CayleyGraph, pending) -> None:

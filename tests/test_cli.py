@@ -9,7 +9,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from quandleforge.cli import run
+from quandleforge import (
+    EnumerationLimits, FamilyParams, components, enumerate_quandle, expand_relations,
+    family_presentation, quandle_table,
+)
+from quandleforge.cli import DOT_COLORS, export_dot, export_json, format_table, run
 from quandleforge.engine import canonical_code_of_actions
 from quandleforge.families import load_diagram_text
 
@@ -177,3 +181,86 @@ def test_python_dash_m():
     )
     assert proc.returncode == 0, proc.stderr
     assert "final_size=14" in proc.stdout
+
+
+def test_int32_vertex_limit_exits_one(capsys, monkeypatch):
+    monkeypatch.setenv("QF_MAX_VERTICES", "3000000000")
+    code, out, err = invoke(capsys, "enumerate", "--family", "theta3", "--labels", "3,3,2")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: max_vertices 3000000000 exceeds the int32 vertex id limit")
+
+
+# The exports as first written, one union-find lookup per entry; the
+# exports on dense arrays must produce the same bytes.
+
+def reference_export_dot(graph, no_loops=False):
+    order = graph.live_vertices()
+    index = {v: i for i, v in enumerate(order)}
+    lines = ["digraph quandle {"]
+    for v in order:
+        lines.append(f'  n{index[v]} [label="{index[v]}"];')
+    for g, gen in enumerate(graph.gens):
+        color = DOT_COLORS[g % len(DOT_COLORS)]
+        for v in order:
+            w = graph.find(graph.fwd[g][v])
+            if no_loops and w == v:
+                continue
+            lines.append(
+                f'  n{index[v]} -> n{index[w]} [label="{gen.name}" color="{color}"];'
+            )
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def reference_export_json(graph, pres, stats):
+    order = graph.live_vertices()
+    index = {v: i for i, v in enumerate(order)}
+    orbits, edge_sizes = components(graph)
+    orbit_of = {}
+    for i, orbit in enumerate(orbits):
+        for v in orbit:
+            orbit_of[v] = i
+    edge_orbit = {
+        pres.edge_of[gen]: orbit_of[graph.find(graph.basepoint[gen.id])]
+        for gen in graph.gens
+    }
+    doc = {
+        "size": len(order),
+        "edge_labels": list(pres.labels),
+        "components": [
+            {
+                "edge": edge,
+                "size": edge_sizes[edge],
+                "members": sorted(index[v] for v in orbits[edge_orbit[edge]]),
+            }
+            for edge in sorted(edge_sizes)
+        ],
+        "actions": {
+            gen.name: [index[graph.find(graph.fwd[g][v])] for v in order]
+            for g, gen in enumerate(graph.gens)
+        },
+        "stats": stats.as_dict(),
+    }
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def reference_format_table(graph):
+    table = quandle_table(graph)
+    n = table.shape[0]
+    width = len(str(n - 1))
+    rows = [" ".join(f"{int(table[y, x]):{width}d}" for x in range(n)) for y in range(n)]
+    return "\n".join(rows) + "\n"
+
+
+@pytest.mark.parametrize("family, labels", [
+    ("theta3", (3, 3, 2)), ("H1", (3, 2, 2)), ("DH", (2, 2, 2, 3, 2, 2)),
+])
+def test_exports_match_per_entry_reference(family, labels):
+    pres = expand_relations(family_presentation(FamilyParams(family, labels=labels)))
+    result = enumerate_quandle(pres, EnumerationLimits())
+    graph = result.graph
+    assert export_json(graph, pres, result.stats) == reference_export_json(graph, pres, result.stats)
+    for no_loops in (False, True):
+        assert export_dot(graph, no_loops) == reference_export_dot(graph, no_loops)
+    assert format_table(graph) == reference_format_table(graph)

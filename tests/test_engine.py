@@ -321,3 +321,41 @@ def test_vacuous_universal_dropped_and_empty_primary_merges():
     # a = b identifies the two basepoints immediately
     assert res.graph.find(res.graph.basepoint[0]) == res.graph.find(res.graph.basepoint[1])
     assert res.stats.live == 1
+
+
+def test_limits_reject_vertex_ids_beyond_int32():
+    assert EnumerationLimits(max_vertices=2**31 - 1).max_vertices == 2**31 - 1
+    with pytest.raises(ValueError, match="int32"):
+        EnumerationLimits(max_vertices=2**31)
+
+
+# engine counters as measured before the tables moved to int32 arrays;
+# the storage must not change the algorithm, its order or its numbering
+@pytest.mark.parametrize("params, limits, counters", [
+    (FamilyParams("K4knot"), EnumerationLimits(2_000_000, 20_000), (5068, 2969, 5799, 20001, 2099)),
+    (FamilyParams("K4knot"), EnumerationLimits(5000, 10**9), (5000, 2935, 5733, 19772, 2065)),
+    (FamilyParams("Gkmn", k=2, m=3, n=5), EnumerationLimits(), (1305, 1153, 1540, 6389, 152)),
+    (FamilyParams("DH", labels=(2, 2, 2, 3, 2, 2)), EnumerationLimits(), (596, 494, 1430, 4270, 102)),
+    (FamilyParams("theta3", labels=(3, 3, 2)), EnumerationLimits(), (36, 22, 56, 176, 14)),
+])
+def test_engine_counters_pinned(params, limits, counters):
+    stats = enumerate_quandle(expand_relations(family_presentation(params)), limits).stats
+    keys = ("vertices_created", "merges", "relations_traced", "steps", "live")
+    assert stats.as_dict() == dict(zip(keys, counters))
+
+
+def test_memory_per_created_vertex():
+    """int32 tables and a shared int per vertex id: about 8 g + 40 bytes
+    per created vertex, live or dead."""
+    pres = expand_relations(family_presentation(FamilyParams("K4knot")))
+    g = len(pres.generators)
+    assert g == 9
+    tracemalloc.start()
+    try:
+        res = enumerate_quandle(pres, EnumerationLimits(2_000_000, 200_000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.outcome == "limit-exceeded"
+    assert res.stats.vertices_created == 43596
+    assert peak / res.stats.vertices_created <= 8 * g + 64
