@@ -13,7 +13,6 @@ from .words import (
     ParseError,
     QuandleExpr,
     act,
-    free_reduce,
     invert,
     parse_word,
     power_word,
@@ -34,13 +33,12 @@ from .engine import (
     EnumerationLimits,
     EnumerationResult,
     EnumerationStats,
+    Quandle,
     canonical_code,
     canonical_code_of_actions,
-    collapse,
     components,
     enumerate_quandle,
     quandle_table,
-    trace,
     verify,
 )
 from .families import (

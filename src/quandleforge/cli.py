@@ -23,8 +23,8 @@ from . import diagram as diagram_mod
 from .engine import (
     DEFAULT_MAX_STEPS,
     DEFAULT_MAX_VERTICES,
-    CayleyGraph,
     EnumerationLimits,
+    Quandle,
     _orbits,
     canonical_code,
     components,
@@ -38,6 +38,7 @@ from .families import (
     build_explicit_Qa,
     build_explicit_Qd,
     family_presentation,
+    gkmn_size,
     table1_rows,
 )
 from .presentation import Presentation, expand_relations, parse_presentation
@@ -52,7 +53,7 @@ def _default_max_vertices() -> int:
         try:
             return int(env)
         except ValueError:
-            raise SystemExit(f"QF_MAX_VERTICES must be an integer, got {env!r}")
+            raise ValueError(f"QF_MAX_VERTICES must be an integer, got {env!r}")
     return DEFAULT_MAX_VERTICES
 
 
@@ -118,10 +119,10 @@ def _emit(text: str, path: str | None):
         sys.stdout.write(text)
 
 
-def format_stats(result, pres, graph) -> str:
+def format_stats(result, pres, quandle) -> str:
     lines = [f"outcome={result.outcome}"]
-    if graph is not None:
-        orbits, edge_sizes = components(graph)
+    if quandle is not None:
+        orbits, edge_sizes = components(quandle)
         lines.append(f"final_size={result.stats.live}")
         lines.append(f"components={len(orbits)}")
         lines.append(
@@ -132,26 +133,24 @@ def format_stats(result, pres, graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def export_dot(graph: CayleyGraph, no_loops: bool = False) -> str:
+def export_dot(quandle: Quandle, no_loops: bool = False) -> str:
     """Deterministic DOT rendering: one node per element, one directed
     edge per (element, generator), colored by generator."""
-    dense = graph.dense()
     lines = ["digraph quandle {"]
-    lines += [f'  n{i} [label="{i}"];' for i in range(len(dense.order))]
-    for g, (gen, row) in enumerate(zip(graph.gens, dense.actions.tolist())):
+    lines += [f'  n{i} [label="{i}"];' for i in range(len(quandle.order))]
+    for g, (gen, row) in enumerate(zip(quandle.gens, quandle.actions.tolist())):
         attrs = f'[label="{gen.name}" color="{DOT_COLORS[g % len(DOT_COLORS)]}"];'
         lines += [f"  n{i} -> n{j} {attrs}" for i, j in enumerate(row) if not (no_loops and i == j)]
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
-def export_json(graph: CayleyGraph, pres: Presentation, stats) -> str:
+def export_json(quandle: Quandle, pres: Presentation, stats) -> str:
     """Stable JSON export: size, labels, components and generator actions."""
-    dense = graph.dense()
-    root, edge_sizes = _orbits(graph, dense)
-    edge_root = {pres.edge_of[gen]: root[dense.bases[gen.id]] for gen in graph.gens}
+    root, edge_sizes = _orbits(quandle)
+    edge_root = {pres.edge_of[gen]: root[quandle.basepoint[gen.id]] for gen in quandle.gens}
     doc = {
-        "size": len(dense.order),
+        "size": len(quandle.order),
         "edge_labels": list(pres.labels),
         "components": [
             {
@@ -161,14 +160,14 @@ def export_json(graph: CayleyGraph, pres: Presentation, stats) -> str:
             }
             for edge in sorted(edge_sizes)
         ],
-        "actions": {gen.name: row for gen, row in zip(graph.gens, dense.actions.tolist())},
+        "actions": {gen.name: row for gen, row in zip(quandle.gens, quandle.actions.tolist())},
         "stats": stats.as_dict(),
     }
     return json.dumps(doc, indent=2) + "\n"
 
 
-def format_table(graph: CayleyGraph) -> str:
-    table = quandle_table(graph)
+def format_table(quandle: Quandle) -> str:
+    table = quandle_table(quandle)
     n = table.shape[0]
     # one row at a time, so that no n^2 list of Python ints is ever held
     row_format = " ".join([f"%{len(str(n - 1))}d"] * n)
@@ -181,16 +180,16 @@ def cmd_enumerate(args) -> int:
     if not result.completed:
         _emit(format_stats(result, pres, None), args.output)
         return 2
-    graph = result.graph
-    violations = verify(graph, pres)
+    quandle = result.graph
+    violations = verify(quandle, pres)
     if args.format == "stats":
-        _emit(format_stats(result, pres, graph), args.output)
+        _emit(format_stats(result, pres, quandle), args.output)
     elif args.format == "dot":
-        _emit(export_dot(graph, no_loops=args.no_loops), args.output)
+        _emit(export_dot(quandle, no_loops=args.no_loops), args.output)
     elif args.format == "json":
-        _emit(export_json(graph, pres, result.stats), args.output)
+        _emit(export_json(quandle, pres, result.stats), args.output)
     elif args.format == "table":
-        _emit(format_table(graph), args.output)
+        _emit(format_table(quandle), args.output)
     if violations:
         for violation in violations:
             print(f"verify: {violation}", file=sys.stderr)
@@ -233,9 +232,9 @@ def cmd_regress(args) -> int:
 
 
 def cmd_oracle_check(args) -> int:
-    ks = [args.k] if args.k else list(range(1, 5))
-    ms = [args.m] if args.m else list(range(1, 5))
-    ns = [args.n] if args.n else list(range(1, 5))
+    ks = [args.k] if args.k is not None else list(range(1, 5))
+    ms = [args.m] if args.m is not None else list(range(1, 5))
+    ns = [args.n] if args.n is not None else list(range(1, 5))
     failures = 0
     for k in ks:
         for m in ms:
@@ -246,10 +245,10 @@ def cmd_oracle_check(args) -> int:
                     print(f"FAIL  G({k},{m},{n}): enumeration hit limits")
                     failures += 1
                     continue
-                graph = result.graph
-                ok_a = canonical_code(graph, graph.basepoint[0]) == build_explicit_Qa(k, m, n).canonical_code()
-                ok_d = canonical_code(graph, graph.basepoint[3]) == build_explicit_Qd(k, m).canonical_code()
-                ok_size = result.stats.live == 4 * k * m * n + 2 * k * m + 2 * k * n
+                quandle = result.graph
+                ok_a = canonical_code(quandle, quandle.basepoint[0]) == build_explicit_Qa(k, m, n).canonical_code()
+                ok_d = canonical_code(quandle, quandle.basepoint[3]) == build_explicit_Qd(k, m).canonical_code()
+                ok_size = result.stats.live == gkmn_size(k, m, n)
                 if ok_a and ok_d and ok_size:
                     print(f"PASS  G({k},{m},{n}): size {result.stats.live}, Qa and Qd match the models")
                 else:

@@ -21,6 +21,9 @@ pointer is exhausted and the dirty set is empty; it aborts with a
 limit-exceeded report when the vertex or step budget runs out, which is
 the only possible outcome for an infinite quandle.
 
+A completed graph is finalized once into a read-only :class:`Quandle`
+(dense arrays over elements), which every analysis function here takes.
+
 Everything is deterministic: identical inputs give identical numberings.
 Coincidence processing keeps the lower-numbered vertex as representative.
 """
@@ -35,7 +38,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .presentation import Presentation
-from .words import GroupWord, QuandleExpr
+from .words import GroupWord
 
 
 DEFAULT_MAX_VERTICES = 1_000_000
@@ -83,10 +86,11 @@ class EnumerationStats:
 
 @dataclass
 class EnumerationResult:
-    """Outcome of an enumeration: 'completed' with a graph, or 'limit-exceeded'."""
+    """Outcome of an enumeration: 'completed' with the finished quandle in
+    ``graph``, or 'limit-exceeded' with ``graph`` None."""
 
     outcome: str
-    graph: "CayleyGraph | None"
+    graph: "Quandle | None"
     stats: EnumerationStats
 
     @property
@@ -98,32 +102,56 @@ class _LimitHit(Exception):
     pass
 
 
-class DenseGraph(NamedTuple):
-    """A Cayley graph's live vertices as dense element indices 0..n-1.
+class Quandle(NamedTuple):
+    """A finished N-quandle: the live part of a completed Cayley graph as
+    read-only dense arrays.
 
-    ``order[i]`` is the vertex id of element i (creation order, so
-    ``order`` is sorted).  Row g of ``actions`` / ``inverses`` is
-    generator g's forward / backward action on elements, -1 where
-    undefined; ``bases[g]`` is the element of g.
+    Elements are numbered 0..n-1 in the creation order of their vertices:
+    ``order[i]`` is the vertex id of element i, so ``order`` is sorted.
+    Row g of ``actions`` / ``inverses`` is generator g's forward /
+    backward action on elements, -1 where undefined (never, once
+    enumeration completed); ``basepoint[g]`` is the element of generator
+    g.  All four are int64 arrays marked read-only.
     """
 
+    pres: Presentation
     order: np.ndarray
     actions: np.ndarray
     inverses: np.ndarray
-    bases: np.ndarray
+    basepoint: np.ndarray
+
+    @property
+    def gens(self):
+        return self.pres.generators
+
+    def follow(self, word, start):
+        """The element(s) reached from ``start`` (an element or an array of
+        elements) along a word of generator letters."""
+        cur = start
+        for letter in word:
+            cur = (self.actions if letter.sign > 0 else self.inverses)[letter.gen.id][cur]
+        return cur
 
 
 class CayleyGraph:
-    """The (possibly partial) Cayley graph of a quandle presentation.
+    """The mutable, possibly partial Cayley graph that enumeration grows.
+
+    :meth:`trace` walks a word (given as :meth:`letters`) from a vertex,
+    creating vertices and edges and returning coincidences;
+    :meth:`collapse` merges them; :meth:`run` applies both to the
+    presentation's relations until the graph is complete or a limit is
+    hit, and :meth:`finalize` then turns it into a read-only
+    :class:`Quandle`, on which all analysis runs.
 
     Per generator, ``fwd`` and ``bwd`` hold a partial bijection on
     vertices and its inverse, kept mutually consistent; -1 marks an
     undefined image.  Merged vertices stay in the tables but are marked
     dead, with ``parent`` the union-find structure mapping them to their
     representative; stored vertex ids must be resolved through
-    :meth:`find` when read.  In a completed graph every action is total
-    on live vertices and the vertex of each generator carries a loop
-    under that generator.
+    :meth:`find` when read.  ``basepoint[g]`` is the vertex created for
+    generator g.  In a completed graph every action is total on live
+    vertices and the vertex of each generator carries a loop under that
+    generator.
 
     Storage is indexed by vertex id: ``fwd[g]`` and ``bwd[g]`` are
     ``array("i")`` int32 tables, ``live`` and ``processed`` are
@@ -138,9 +166,8 @@ class CayleyGraph:
 
     def __init__(self, pres: Presentation, limits: EnumerationLimits):
         self.pres = pres
-        self.gens = pres.generators
         self.limits = limits
-        ngens = len(self.gens)
+        ngens = len(pres.generators)
         self.fwd: list[array] = [array("i") for _ in range(ngens)]
         self.bwd: list[array] = [array("i") for _ in range(ngens)]
         self.tables = self.fwd + self.bwd
@@ -150,7 +177,7 @@ class CayleyGraph:
         self.size = 0
         self.dirty: set[int] = set()
         self.stats = EnumerationStats()
-        self.basepoint: list[int] = [self.add_vertex() for _ in self.gens]
+        self.basepoint: list[int] = [self.add_vertex() for _ in range(ngens)]
         for g in range(ngens):
             v = self.basepoint[g]
             self.fwd[g][v] = v
@@ -191,16 +218,15 @@ class CayleyGraph:
     def vertex_count(self) -> int:
         return self.live.count(1)
 
-    def live_vertices(self) -> list[int]:
-        return self._order().tolist()
-
-    def action(self, gen_id: int, v: int, sign: int = 1) -> int | None:
-        """The image of a live vertex under one generator letter, or None."""
-        table = self.fwd[gen_id] if sign > 0 else self.bwd[gen_id]
-        raw = table[self.find(v)]
-        return None if raw < 0 else self.find(raw)
-
     # -- tracing and collapsing ---------------------------------------------
+
+    def letters(self, word: GroupWord) -> list[tuple[array, array]]:
+        """The (out table, in table) pair of each letter, as :meth:`trace` takes them."""
+        return [
+            (self.fwd[letter.gen.id], self.bwd[letter.gen.id]) if letter.sign > 0
+            else (self.bwd[letter.gen.id], self.fwd[letter.gen.id])
+            for letter in word
+        ]
 
     def trace(self, start: int, letters, target: int | None = None) -> list[tuple[int, int]]:
         """Walk a word from ``start``, forcing the last edge onto ``target``.
@@ -311,25 +337,55 @@ class CayleyGraph:
         finally:
             self.stats.steps, self.stats.merges = steps, merges
 
-    # -- analysis helpers (completed graphs) ---------------------------------
+    # -- the enumeration and its result -------------------------------------
 
-    def _order(self) -> np.ndarray:
-        """Live vertex ids in creation order."""
-        return np.flatnonzero(np.frombuffer(self.live, dtype=np.uint8, count=self.size))
+    def run(self) -> bool:
+        """Run Winker's method on the presentation; True once the graph is
+        complete, False when a limit was hit.  Either way ``stats.live``
+        is set to the number of live vertices."""
+        pres, stats = self.pres, self.stats
+        universals = [self.letters(rel.word) for rel in pres.universals]
+        try:
+            for rel in pres.primaries:
+                start = self.basepoint[rel.lhs_base.id]
+                target = self.basepoint[rel.rhs.id]
+                pending = self.trace(start, self.letters(rel.word), target)
+                if pending:
+                    self.collapse(pending)
+                stats.relations_traced += 1
 
-    @staticmethod
-    def _rows(tables, order: np.ndarray) -> np.ndarray:
-        """The ``order`` rows of int32 tables, one table per output row."""
-        rows = np.empty((len(tables), len(order)), dtype=np.int32)
-        for table, row in zip(tables, rows):
-            np.take(np.frombuffer(table, dtype=np.int32), order, out=row)
-        return rows
+            live, processed, dirty = self.live, self.processed, self.dirty
+            pointer = 0
+            while True:
+                if pointer < self.size:
+                    v = pointer
+                    pointer += 1
+                    if not live[v] or processed[v]:
+                        continue
+                elif dirty:
+                    v = min(dirty)
+                    dirty.discard(v)
+                    if not live[v]:
+                        continue
+                else:
+                    break
+                cur = self.find(v)
+                for letters in universals:
+                    pending = self.trace(cur, letters)
+                    if pending:
+                        self.collapse(pending)
+                        cur = self.find(cur)
+                    stats.relations_traced += 1
+                processed[cur] = 1
+                dirty.discard(cur)
+        except _LimitHit:
+            return False
+        finally:
+            stats.live = self.vertex_count()
+        return True
 
-    def is_total(self) -> bool:
-        return bool((self._rows(self.tables, self._order()) >= 0).all())
-
-    def dense(self) -> DenseGraph:
-        """The live part of the graph as dense arrays.
+    def finalize(self) -> Quandle:
+        """The live part of the graph as a read-only :class:`Quandle`.
 
         Only the live rows of the action tables are read.  Their vertex
         ids are resolved to representatives all at once, by following
@@ -338,7 +394,7 @@ class CayleyGraph:
         undefined images stay -1.
         """
         parent = np.fromiter(self.parent, dtype=np.int64, count=self.size)
-        order = self._order()
+        order = np.flatnonzero(np.frombuffer(self.live, dtype=np.uint8, count=self.size))
 
         def element(ids):
             while True:
@@ -348,113 +404,40 @@ class CayleyGraph:
                 ids = up
 
         def resolve(tables):
-            raw = self._rows(tables, order)
+            raw = np.empty((len(tables), len(order)), dtype=np.int32)
+            for table, row in zip(tables, raw):
+                np.take(np.frombuffer(table, dtype=np.int32), order, out=row)
             return np.where(raw >= 0, element(raw), -1)
 
-        return DenseGraph(
+        arrays = (
             order, resolve(self.fwd), resolve(self.bwd),
             element(np.asarray(self.basepoint, dtype=np.int64)),
         )
-
-    def live_index(self) -> dict[int, int]:
-        """Map live vertex ids to dense element indices in creation order."""
-        order = self.dense().order
-        return dict(zip(order.tolist(), range(len(order))))
-
-    def dense_actions(self) -> np.ndarray:
-        """Per generator (row), the action as a permutation of dense indices."""
-        return self.dense().actions
-
-    def evaluate(self, expr: QuandleExpr) -> int:
-        """The vertex of base^exponent, walking the Cayley graph."""
-        v = self.find(self.basepoint[expr.base.id])
-        for letter in expr.exponent:
-            nxt = self.action(letter.gen.id, v, letter.sign)
-            if nxt is None:
-                raise ValueError(f"action of {letter} undefined at vertex {v}")
-            v = nxt
-        return v
-
-
-def _letter_tables(graph: CayleyGraph, word: GroupWord) -> list[tuple[array, array]]:
-    """The (out table, in table) pair of each letter, as :meth:`CayleyGraph.trace` takes them."""
-    return [
-        (graph.fwd[letter.gen.id], graph.bwd[letter.gen.id]) if letter.sign > 0
-        else (graph.bwd[letter.gen.id], graph.fwd[letter.gen.id])
-        for letter in word
-    ]
+        for a in arrays:
+            a.flags.writeable = False
+        return Quandle(self.pres, *arrays)
 
 
 def enumerate_quandle(pres: Presentation, limits: EnumerationLimits | None = None) -> EnumerationResult:
     """Run Winker's method on an expanded presentation.
 
     The presentation must already carry its secondary and power relations
-    (see :func:`quandleforge.presentation.expand_relations`).  Returns a
-    completed graph, or a limit-exceeded report with partial statistics;
-    hitting a limit is a report, not an error.
+    (see :func:`quandleforge.presentation.expand_relations`).  Returns the
+    finished :class:`Quandle`, or a limit-exceeded report with partial
+    statistics; hitting a limit is a report, not an error.
     """
-    if limits is None:
-        limits = EnumerationLimits()
-    graph = CayleyGraph(pres, limits)
-    stats = graph.stats
-    universals = [_letter_tables(graph, rel.word) for rel in pres.universals]
-    try:
-        for rel in pres.primaries:
-            start = graph.basepoint[rel.lhs_base.id]
-            target = graph.basepoint[rel.rhs.id]
-            pending = graph.trace(start, _letter_tables(graph, rel.word), target)
-            if pending:
-                graph.collapse(pending)
-            stats.relations_traced += 1
-
-        live, processed, dirty = graph.live, graph.processed, graph.dirty
-        pointer = 0
-        while True:
-            if pointer < graph.size:
-                v = pointer
-                pointer += 1
-                if not live[v] or processed[v]:
-                    continue
-            elif dirty:
-                v = min(dirty)
-                dirty.discard(v)
-                if not live[v]:
-                    continue
-            else:
-                break
-            cur = graph.find(v)
-            for letters in universals:
-                pending = graph.trace(cur, letters)
-                if pending:
-                    graph.collapse(pending)
-                    cur = graph.find(cur)
-                stats.relations_traced += 1
-            processed[cur] = 1
-            dirty.discard(cur)
-    except _LimitHit:
-        stats.live = graph.vertex_count()
-        return EnumerationResult("limit-exceeded", None, stats)
-
-    stats.live = graph.vertex_count()
-    if not graph.is_total():
+    graph = CayleyGraph(pres, limits or EnumerationLimits())
+    if not graph.run():
+        return EnumerationResult("limit-exceeded", None, graph.stats)
+    quandle = graph.finalize()
+    if (quandle.actions < 0).any() or (quandle.inverses < 0).any():
         raise RuntimeError("completed enumeration left a partial action")
     # cheap end-to-end re-check of the primaries, catching trace bugs early
+    bases = quandle.basepoint
     for rel in pres.primaries:
-        v = graph.find(graph.basepoint[rel.lhs_base.id])
-        for letter in rel.word:
-            v = graph.action(letter.gen.id, v, letter.sign)
-        if v != graph.find(graph.basepoint[rel.rhs.id]):
+        if quandle.follow(rel.word, bases[rel.lhs_base.id]) != bases[rel.rhs.id]:
             raise RuntimeError(f"primary relation {rel} broken")
-    return EnumerationResult("completed", graph, stats)
-
-
-def trace(graph: CayleyGraph, start: int, word: GroupWord, target: int | None = None):
-    """Word-level wrapper over :meth:`CayleyGraph.trace`."""
-    return graph.trace(start, _letter_tables(graph, word), target)
-
-
-def collapse(graph: CayleyGraph, pending) -> None:
-    graph.collapse(list(pending))
+    return EnumerationResult("completed", quandle, graph.stats)
 
 
 def _flatten(parent: np.ndarray) -> np.ndarray:
@@ -487,21 +470,21 @@ def _orbit_roots(actions: np.ndarray) -> np.ndarray:
         root = _flatten(root)
 
 
-def _orbits(graph: CayleyGraph, dense: DenseGraph) -> tuple[np.ndarray, dict[int, int]]:
+def _orbits(quandle: Quandle) -> tuple[np.ndarray, dict[int, int]]:
     """Orbit roots per element, and the component size of each graph edge."""
-    root = _orbit_roots(dense.actions)
+    root = _orbit_roots(quandle.actions)
     sizes = np.bincount(root, minlength=len(root))
     edge_sizes: dict[int, int] = {}
-    for gen in graph.gens:
-        edge = graph.pres.edge_of[gen]
-        size = int(sizes[root[dense.bases[gen.id]]])
+    for gen in quandle.gens:
+        edge = quandle.pres.edge_of[gen]
+        size = int(sizes[root[quandle.basepoint[gen.id]]])
         if edge in edge_sizes and edge_sizes[edge] != size:
             raise ValueError(f"edge {edge} maps to components of different sizes")
         edge_sizes[edge] = size
     return root, edge_sizes
 
 
-def components(graph: CayleyGraph):
+def components(quandle: Quandle):
     """Orbits of the vertex set under all generator actions.
 
     Returns ``(orbits, edge_sizes)`` where orbits is a list of lists of
@@ -509,15 +492,14 @@ def components(graph: CayleyGraph):
     edge_sizes maps each graph edge index to the size of the component
     containing that edge's generators.
     """
-    dense = graph.dense()
-    root, edge_sizes = _orbits(graph, dense)
+    root, edge_sizes = _orbits(quandle)
     by_orbit = np.argsort(root, kind="stable")
     cuts = np.flatnonzero(np.diff(root[by_orbit])) + 1
-    orbits = [dense.order[part].tolist() for part in np.split(by_orbit, cuts)]
+    orbits = [quandle.order[part].tolist() for part in np.split(by_orbit, cuts)]
     return orbits, edge_sizes
 
 
-def _symmetry_rows(dense: DenseGraph) -> np.ndarray:
+def _symmetry_rows(quandle: Quandle) -> np.ndarray:
     """Row x holds the point symmetry of element x, as a permutation.
 
     Element x reached as basepoint(b) acted by w has the point symmetry
@@ -525,18 +507,18 @@ def _symmetry_rows(dense: DenseGraph) -> np.ndarray:
     seeded at the basepoints in generator order.  The n x n array is
     allocated before any row is filled.
     """
-    n = dense.actions.shape[1]
+    n = quandle.actions.shape[1]
     rows = np.empty((n, n), dtype=np.int64)
     filled = [False] * n
     queue: list[int] = []
-    for g, b in enumerate(dense.bases.tolist()):
+    for g, b in enumerate(quandle.basepoint.tolist()):
         if not filled[b]:
-            rows[b] = dense.actions[g]
+            rows[b] = quandle.actions[g]
             filled[b] = True
             queue.append(b)
     steps = [
         (fwd, bwd, fwd.tolist(), bwd.tolist())
-        for fwd, bwd in zip(dense.actions, dense.inverses)
+        for fwd, bwd in zip(quandle.actions, quandle.inverses)
     ]
     for p in queue:  # the queue grows while it is read
         for fwd, bwd, fwd_list, bwd_list in steps:
@@ -551,7 +533,7 @@ def _symmetry_rows(dense: DenseGraph) -> np.ndarray:
     return rows
 
 
-def quandle_table(graph: CayleyGraph) -> np.ndarray:
+def quandle_table(quandle: Quandle) -> np.ndarray:
     """The full binary operation table T[y][x] = y acted on by x.
 
     Rows and columns are indexed by dense element index (live vertices in
@@ -559,7 +541,7 @@ def quandle_table(graph: CayleyGraph) -> np.ndarray:
     result is the transposed view of an array holding those symmetries as
     contiguous rows.
     """
-    return _symmetry_rows(graph.dense()).T
+    return _symmetry_rows(quandle).T
 
 
 # Entries per row block in the n x n table checks; this bounds each
@@ -595,17 +577,8 @@ def _preserves_table(rows: np.ndarray, u: np.ndarray) -> bool:
     return True
 
 
-def _follow(dense: DenseGraph, word, start):
-    """The element(s) reached from ``start`` (an element or an array of
-    elements) along a word of generator letters."""
-    cur = start
-    for letter in word:
-        cur = (dense.actions if letter.sign > 0 else dense.inverses)[letter.gen.id][cur]
-    return cur
-
-
-def verify(graph: CayleyGraph, pres: Presentation, full_axiom_limit: int = 400) -> list[str]:
-    """Check a completed graph against the quandle axioms and relations.
+def verify(quandle: Quandle, pres: Presentation, full_axiom_limit: int = 400) -> list[str]:
+    """Check a finished quandle against the quandle axioms and relations.
 
     Always verified: actions are total mutually inverse bijections, the
     three axioms (self-distributivity via the point symmetries of the
@@ -622,12 +595,12 @@ def verify(graph: CayleyGraph, pres: Presentation, full_axiom_limit: int = 400) 
     generators.  A table that cannot be allocated raises MemoryError.
     """
     violations: list[str] = []
-    dense = graph.dense()
-    actions, inverses, order = dense.actions, dense.inverses, dense.order
+    actions, inverses, order = quandle.actions, quandle.inverses, quandle.order
+    bases, gens = quandle.basepoint, quandle.gens
     n = len(order)
     identity = np.arange(n)
 
-    for g, gen in enumerate(graph.gens):
+    for g, gen in enumerate(gens):
         partial = (actions[g] < 0) | (inverses[g] < 0)
         back = inverses[g][np.where(partial, 0, actions[g])]
         for i in np.flatnonzero(partial | (back != identity)).tolist():
@@ -638,30 +611,30 @@ def verify(graph: CayleyGraph, pres: Presentation, full_axiom_limit: int = 400) 
     if violations:
         return violations
 
-    for g, gen in enumerate(graph.gens):
+    for g, gen in enumerate(gens):
         if not np.array_equal(np.sort(actions[g]), identity):
             violations.append(f"action of {gen.name} is not a bijection")
-        b = dense.bases[g]
+        b = bases[g]
         if actions[g][b] != b:
             violations.append(f"axiom A1 fails: no loop at the vertex of {gen.name}")
 
     for rel in pres.primaries:
-        if _follow(dense, rel.word, dense.bases[rel.lhs_base.id]) != dense.bases[rel.rhs.id]:
+        if quandle.follow(rel.word, bases[rel.lhs_base.id]) != bases[rel.rhs.id]:
             violations.append(f"primary relation {rel} does not hold")
 
     for rel in pres.universals:
-        open_at = np.flatnonzero(_follow(dense, rel.word, identity) != identity)
+        open_at = np.flatnonzero(quandle.follow(rel.word, identity) != identity)
         if open_at.size:
             violations.append(f"universal relation {rel} open at vertex {order[open_at[0]]}")
 
-    root, _ = _orbits(graph, dense)
+    root, _ = _orbits(quandle)
     orbit_label: dict[int, int] = {}
-    for g, gen in enumerate(graph.gens):
+    for g, gen in enumerate(gens):
         want = pres.label_of(gen)
-        if orbit_label.setdefault(int(root[dense.bases[g]]), want) != want:
+        if orbit_label.setdefault(int(root[bases[g]]), want) != want:
             violations.append(f"component of {gen.name} carries conflicting labels")
 
-    for g, gen in enumerate(graph.gens):
+    for g, gen in enumerate(gens):
         power = identity
         for _ in range(pres.label_of(gen)):
             power = actions[g][power]
@@ -670,9 +643,9 @@ def verify(graph: CayleyGraph, pres: Presentation, full_axiom_limit: int = 400) 
                 f"point symmetry of {gen.name} does not have order dividing {pres.label_of(gen)}"
             )
 
-    rows = _symmetry_rows(dense)  # rows[x] is column x of the table
-    for g, gen in enumerate(graph.gens):
-        if not np.array_equal(rows[dense.bases[g]], actions[g]):
+    rows = _symmetry_rows(quandle)  # rows[x] is column x of the table
+    for g, gen in enumerate(gens):
+        if not np.array_equal(rows[bases[g]], actions[g]):
             violations.append(f"table column of {gen.name} differs from its stored action")
 
     if not np.array_equal(np.diagonal(rows), identity):
@@ -683,7 +656,7 @@ def verify(graph: CayleyGraph, pres: Presentation, full_axiom_limit: int = 400) 
     # A3 for all triples reduces to every generator's point symmetry being
     # a homomorphism: every element's symmetry is a conjugate of one of
     # these, and conjugates/composites of automorphisms are automorphisms.
-    for g, gen in enumerate(graph.gens):
+    for g, gen in enumerate(gens):
         if not _preserves_table(rows, actions[g]):
             violations.append(f"axiom A3 fails under the point symmetry of {gen.name}")
 
@@ -693,8 +666,8 @@ def verify(graph: CayleyGraph, pres: Presentation, full_axiom_limit: int = 400) 
                 violations.append(f"axiom A3 fails at element {z}")
                 break
         label_of_orbit = {}
-        for g, gen in enumerate(graph.gens):
-            label_of_orbit[int(root[dense.bases[g]])] = pres.label_of(gen)
+        for g, gen in enumerate(gens):
+            label_of_orbit[int(root[bases[g]])] = pres.label_of(gen)
         for i, v in enumerate(order.tolist()):
             label = label_of_orbit.get(int(root[i]))
             if label is None:
@@ -739,11 +712,9 @@ def canonical_code_of_actions(actions, base: int, names=None) -> str:
     return f"n={len(order)};" + ";".join(parts)
 
 
-def canonical_code(graph: CayleyGraph, base: int) -> str:
-    """Canonical code of the component of ``base`` in a completed graph."""
-    dense = graph.dense()
+def canonical_code(quandle: Quandle, element: int) -> str:
+    """Canonical code of the component of an element (a dense index, such
+    as ``quandle.basepoint[g]``) of a finished quandle."""
     return canonical_code_of_actions(
-        dense.actions,
-        int(np.searchsorted(dense.order, graph.find(base))),
-        [gen.name for gen in graph.gens],
+        quandle.actions, int(element), [gen.name for gen in quandle.gens]
     )

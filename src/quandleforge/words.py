@@ -99,14 +99,6 @@ class GroupWord:
         return f"GroupWord({self})"
 
 
-def free_reduce(letters: Iterable[Letter]) -> GroupWord:
-    """Return the unique freely reduced word with the given letters.
-
-    Idempotent: reducing a reduced word returns an equal word.
-    """
-    return GroupWord(letters)
-
-
 def invert(word: GroupWord) -> GroupWord:
     """Reverse the word and flip every sign; an involution."""
     return GroupWord(letter.inverse() for letter in reversed(word.letters))

@@ -14,7 +14,7 @@ from quandleforge import (
     family_presentation, quandle_table,
 )
 from quandleforge.cli import DOT_COLORS, export_dot, export_json, format_table, run
-from quandleforge.engine import canonical_code_of_actions
+from quandleforge.engine import CayleyGraph, canonical_code_of_actions
 from quandleforge.families import load_diagram_text
 
 
@@ -90,14 +90,11 @@ def test_json_round_trip_reproduces_canonical_code(capsys, tmp_path):
         expand_relations, family_presentation,
     )
     pres = expand_relations(family_presentation(FamilyParams("theta3", labels=(3, 3, 2))))
-    graph = enumerate_quandle(pres, EnumerationLimits(10000, 10**8)).graph
-    index = graph.live_index()
-    names = [g.name for g in graph.gens]
-    for g, gen in enumerate(graph.gens):
-        base = index[graph.find(graph.basepoint[gen.id])]
-        assert canonical_code_of_actions(actions, base, names) == canonical_code(
-            graph, graph.basepoint[gen.id]
-        )
+    quandle = enumerate_quandle(pres, EnumerationLimits(10000, 10**8)).graph
+    names = [g.name for g in quandle.gens]
+    for gen in quandle.gens:
+        base = int(quandle.basepoint[gen.id])
+        assert canonical_code_of_actions(actions, base, names) == canonical_code(quandle, base)
 
 
 def test_table_format(capsys, tmp_path):
@@ -137,6 +134,13 @@ def test_oracle_check_single(capsys):
     assert "PASS  G(2,2,3)" in out
 
 
+def test_oracle_check_zero_is_not_absent(capsys):
+    code, out, err = invoke(capsys, "oracle-check", "--k", "0", "--m", "1", "--n", "1")
+    assert code == 1
+    assert out == ""
+    assert err == "error: Gkmn requires a nonzero twist count k\n"
+
+
 def test_input_errors_exit_one(capsys, tmp_path):
     code, _, err = invoke(capsys, "enumerate", "--family", "theta3", "--input", "x.txt")
     assert code == 1
@@ -156,6 +160,14 @@ def test_env_var_limit_override(capsys, monkeypatch):
     code, out, _ = invoke(capsys, "enumerate", "--family", "K4knot")
     assert code == 2
     assert "vertices_created=5000" in out
+
+
+def test_env_var_limit_must_be_integer(capsys, monkeypatch):
+    monkeypatch.setenv("QF_MAX_VERTICES", "abc")
+    code, out, err = invoke(capsys, "enumerate", "--family", "theta3", "--labels", "3,3,2")
+    assert code == 1
+    assert out == ""
+    assert err == "error: QF_MAX_VERTICES must be an integer, got 'abc'\n"
 
 
 def test_bad_usage_exits_nonzero(capsys):
@@ -191,16 +203,21 @@ def test_int32_vertex_limit_exits_one(capsys, monkeypatch):
     assert err.startswith("error: max_vertices 3000000000 exceeds the int32 vertex id limit")
 
 
-# The exports as first written, one union-find lookup per entry; the
-# exports on dense arrays must produce the same bytes.
+# The exports as first written, one union-find lookup per entry on the
+# completed CayleyGraph; the exports of its finalized Quandle must
+# produce the same bytes.
+
+def live_vertices(graph):
+    return [v for v in range(graph.size) if graph.live[v]]
+
 
 def reference_export_dot(graph, no_loops=False):
-    order = graph.live_vertices()
+    order = live_vertices(graph)
     index = {v: i for i, v in enumerate(order)}
     lines = ["digraph quandle {"]
     for v in order:
         lines.append(f'  n{index[v]} [label="{index[v]}"];')
-    for g, gen in enumerate(graph.gens):
+    for g, gen in enumerate(graph.pres.generators):
         color = DOT_COLORS[g % len(DOT_COLORS)]
         for v in order:
             w = graph.find(graph.fwd[g][v])
@@ -214,16 +231,16 @@ def reference_export_dot(graph, no_loops=False):
 
 
 def reference_export_json(graph, pres, stats):
-    order = graph.live_vertices()
+    order = live_vertices(graph)
     index = {v: i for i, v in enumerate(order)}
-    orbits, edge_sizes = components(graph)
+    orbits, edge_sizes = components(graph.finalize())
     orbit_of = {}
     for i, orbit in enumerate(orbits):
         for v in orbit:
             orbit_of[v] = i
     edge_orbit = {
         pres.edge_of[gen]: orbit_of[graph.find(graph.basepoint[gen.id])]
-        for gen in graph.gens
+        for gen in pres.generators
     }
     doc = {
         "size": len(order),
@@ -238,15 +255,15 @@ def reference_export_json(graph, pres, stats):
         ],
         "actions": {
             gen.name: [index[graph.find(graph.fwd[g][v])] for v in order]
-            for g, gen in enumerate(graph.gens)
+            for g, gen in enumerate(pres.generators)
         },
         "stats": stats.as_dict(),
     }
     return json.dumps(doc, indent=2) + "\n"
 
 
-def reference_format_table(graph):
-    table = quandle_table(graph)
+def reference_format_table(quandle):
+    table = quandle_table(quandle)
     n = table.shape[0]
     width = len(str(n - 1))
     rows = [" ".join(f"{int(table[y, x]):{width}d}" for x in range(n)) for y in range(n)]
@@ -258,9 +275,10 @@ def reference_format_table(graph):
 ])
 def test_exports_match_per_entry_reference(family, labels):
     pres = expand_relations(family_presentation(FamilyParams(family, labels=labels)))
-    result = enumerate_quandle(pres, EnumerationLimits())
-    graph = result.graph
-    assert export_json(graph, pres, result.stats) == reference_export_json(graph, pres, result.stats)
+    graph = CayleyGraph(pres, EnumerationLimits())
+    assert graph.run()
+    quandle = graph.finalize()
+    assert export_json(quandle, pres, graph.stats) == reference_export_json(graph, pres, graph.stats)
     for no_loops in (False, True):
-        assert export_dot(graph, no_loops) == reference_export_dot(graph, no_loops)
-    assert format_table(graph) == reference_format_table(graph)
+        assert export_dot(quandle, no_loops) == reference_export_dot(graph, no_loops)
+    assert format_table(quandle) == reference_format_table(quandle)

@@ -12,7 +12,6 @@ from quandleforge import (
     Presentation,
     canonical_code,
     canonical_code_of_actions,
-    collapse,
     components,
     enumerate_quandle,
     expand_relations,
@@ -20,10 +19,10 @@ from quandleforge import (
     parse_presentation,
     parse_word,
     quandle_table,
-    trace,
     verify,
 )
 from quandleforge import engine
+from quandleforge.engine import CayleyGraph
 from quandleforge.presentation import UniversalRelation
 
 THETA = "gens: a b c\nedges: a:1 b:2 c:3\nlabels: 3 3 2\nrel * : a b c\n"
@@ -37,6 +36,13 @@ def enumerate_ok(pres, limit=100000):
     res = enumerate_quandle(pres, EnumerationLimits(limit, 10**9))
     assert res.completed
     return res
+
+
+def run_graph(pres, limits):
+    """A completed CayleyGraph, for tests that read its union-find state."""
+    graph = CayleyGraph(pres, limits)
+    assert graph.run()
+    return graph
 
 
 def test_single_generator_free_quandle():
@@ -73,15 +79,14 @@ def test_limit_exceeded_is_report_not_error():
 def _fresh_graph():
     # enumeration state right after the basepoint loops, no relations traced
     pres = theta((2, 2, 2))
-    from quandleforge.engine import CayleyGraph
-
     return pres, CayleyGraph(pres, EnumerationLimits(1000, 10**6))
 
 
 def test_trace_existing_loop_is_noop():
     pres, graph = _fresh_graph()
     a = pres.generator("a")
-    pending = trace(graph, graph.basepoint[a.id], parse_word("a", {"a": a}), graph.basepoint[a.id])
+    va = graph.basepoint[a.id]
+    pending = graph.trace(va, graph.letters(parse_word("a", {"a": a})), va)
     assert pending == []
     assert graph.stats.vertices_created == 3
 
@@ -90,11 +95,11 @@ def test_trace_closed_loop_creates_intermediate_vertices():
     pres, graph = _fresh_graph()
     syms = {g.name: g for g in pres.generators}
     v = graph.add_vertex()
-    pending = trace(graph, v, parse_word("b c", syms))
+    pending = graph.trace(v, graph.letters(parse_word("b c", syms)))
     assert pending == []
     assert graph.stats.vertices_created == 5  # basepoints + v + one new
-    w = graph.action(syms["b"].id, v)
-    assert graph.action(syms["c"].id, w) == v
+    w = graph.find(graph.fwd[syms["b"].id][v])
+    assert graph.find(graph.fwd[syms["c"].id][w]) == v
 
 
 def test_trace_conflicting_edge_queues_coincidence():
@@ -103,17 +108,17 @@ def test_trace_conflicting_edge_queues_coincidence():
     a, b = syms["a"], syms["b"]
     va, vb, vc = (graph.basepoint[g.id] for g in (a, b, syms["c"]))
     # tracing [a] as a closed loop at vb forces the edge vb --a--> vb ...
-    pending = trace(graph, vb, parse_word("a", syms))
+    pending = graph.trace(vb, graph.letters(parse_word("a", syms)))
     assert pending == []
     # ... so forcing vb --a--> vc afterwards is a coincidence (vb, vc)
-    pending = trace(graph, vb, parse_word("a", syms), vc)
+    pending = graph.trace(vb, graph.letters(parse_word("a", syms)), vc)
     assert pending == [(vb, vc)]
 
 
 def test_collapse_empty_queue():
     pres, graph = _fresh_graph()
     before = [list(t) for t in graph.fwd]
-    collapse(graph, [])
+    graph.collapse([])
     assert [list(t) for t in graph.fwd] == before
 
 
@@ -127,10 +132,10 @@ def test_collapse_merges_disjoint_edges():
     graph.bwd[syms["b"].id][w] = u
     graph.fwd[syms["c"].id][v] = w
     graph.bwd[syms["c"].id][w] = v
-    collapse(graph, [(u, v)])
+    graph.collapse([(u, v)])
     assert graph.find(v) == u
-    assert graph.action(syms["b"].id, u) == graph.find(w)
-    assert graph.action(syms["c"].id, u) == graph.find(w)
+    assert graph.find(graph.fwd[syms["b"].id][u]) == graph.find(w)
+    assert graph.find(graph.fwd[syms["c"].id][u]) == graph.find(w)
     assert graph.stats.merges == 1
 
 
@@ -141,7 +146,7 @@ def test_collapse_cascades():
     for i in range(2, 6):
         graph.fwd[a][vs[i - 2]] = vs[i]
         graph.bwd[a][vs[i]] = vs[i - 2]
-    collapse(graph, [(vs[0], vs[1])])
+    graph.collapse([(vs[0], vs[1])])
     # chain v0=v1 forces v2=v3 forces v4=v5
     assert graph.find(vs[1]) == vs[0]
     assert graph.find(vs[3]) == vs[2]
@@ -150,10 +155,12 @@ def test_collapse_cascades():
 
 
 def test_determinism():
-    a = enumerate_ok(theta())
-    b = enumerate_ok(theta())
+    limits = EnumerationLimits(100000, 10**9)
+    a = run_graph(theta(), limits)
+    b = run_graph(theta(), limits)
     assert a.stats.as_dict() == b.stats.as_dict()
-    assert [list(t) for t in a.graph.fwd] == [list(t) for t in b.graph.fwd]
+    assert [list(t) for t in a.fwd] == [list(t) for t in b.fwd]
+    assert np.array_equal(a.finalize().actions, enumerate_ok(theta()).graph.actions)
 
 
 def test_relation_order_invariance():
@@ -171,13 +178,11 @@ def test_relation_order_invariance():
 
 def test_monotone_limits():
     pres = theta()
-    small = enumerate_quandle(pres, EnumerationLimits(36, 10**9))
-    assert small.completed
+    small = run_graph(pres, EnumerationLimits(36, 10**9))
     for extra in (50, 1000, 100000):
-        again = enumerate_quandle(pres, EnumerationLimits(extra, 10**9))
-        assert again.completed
+        again = run_graph(pres, EnumerationLimits(extra, 10**9))
         assert again.stats.live == small.stats.live
-        assert [list(t) for t in again.graph.fwd] == [list(t) for t in small.graph.fwd]
+        assert [list(t) for t in again.fwd] == [list(t) for t in small.fwd]
 
 
 def test_quandle_table_single_element():
@@ -203,12 +208,9 @@ def test_quandle_table_axioms_exhaustive():
 def test_generator_columns_match_actions():
     graph = enumerate_ok(theta()).graph
     table = quandle_table(graph)
-    order = graph.live_vertices()
-    index = {v: i for i, v in enumerate(order)}
-    actions = graph.dense_actions()
     for g, gen in enumerate(graph.gens):
-        b = index[graph.find(graph.basepoint[gen.id])]
-        assert np.array_equal(table[:, b], actions[g])
+        b = graph.basepoint[gen.id]
+        assert np.array_equal(table[:, b], graph.actions[g])
 
 
 def test_verify_passes_on_h1():
@@ -222,16 +224,16 @@ def test_verify_passes_on_h1():
 
 def test_verify_reports_fault_injection():
     pres = theta()
-    graph = enumerate_ok(pres).graph
+    graph = run_graph(pres, EnumerationLimits(100000, 10**9))
     # corrupt one edge: swap two targets of generator a
     a = pres.generator("a").id
-    live = graph.live_vertices()
+    live = graph.finalize().order.tolist()
     v1, v2 = live[1], live[3]
     t1, t2 = graph.fwd[a][v1], graph.fwd[a][v2]
     graph.fwd[a][v1], graph.fwd[a][v2] = t2, t1
     graph.bwd[a][graph.find(t2)] = v1
     graph.bwd[a][graph.find(t1)] = v2
-    violations = verify(graph, pres)
+    violations = verify(graph.finalize(), pres)
     assert violations == [
         "universal relation x^[a b c] = x open at vertex 1",
         "universal relation x^[a a a] = x open at vertex 1",
@@ -274,7 +276,7 @@ def test_verify_memory_is_one_table():
     """verify holds one n x n int64 table and O(g n) besides."""
     pres = expand_relations(family_presentation(FamilyParams("DH", labels=(2, 2, 2, 3, 2, 4))))
     graph = enumerate_ok(pres, limit=10**6).graph
-    n = len(graph.live_vertices())
+    n = len(graph.order)
     assert n == 2976
     tracemalloc.start()
     try:
@@ -292,18 +294,16 @@ def test_canonical_code_invariance_under_relabeling():
     assert code == canonical_code(graph, base)
 
     # relabel the vertex set by a random permutation and recompute
-    order = graph.live_vertices()
-    index = {v: i for i, v in enumerate(order)}
-    actions = graph.dense_actions()
+    actions = graph.actions
     rng = random.Random(13)
-    perm = list(range(len(order)))
+    perm = list(range(len(graph.order)))
     rng.shuffle(perm)
     inv = [0] * len(perm)
     for i, p in enumerate(perm):
         inv[p] = i
     relabeled = [np.array([perm[a[inv[i]]] for i in range(len(perm))]) for a in actions]
     names = [g.name for g in graph.gens]
-    assert canonical_code_of_actions(relabeled, perm[index[graph.find(base)]], names) == code
+    assert canonical_code_of_actions(relabeled, perm[base], names) == code
 
 
 def test_canonical_code_distinguishes_components():
@@ -319,7 +319,7 @@ def test_vacuous_universal_dropped_and_empty_primary_merges():
     )
     res = enumerate_ok(expand_relations(pres))
     # a = b identifies the two basepoints immediately
-    assert res.graph.find(res.graph.basepoint[0]) == res.graph.find(res.graph.basepoint[1])
+    assert res.graph.basepoint[0] == res.graph.basepoint[1]
     assert res.stats.live == 1
 
 

@@ -254,9 +254,9 @@ def test_component_isomorphisms_across_flype_and_slide():
     for k, m, n in [(2, 2, 3), (3, 3, 2)]:
         pres = expand_relations(family_presentation(FamilyParams("Gkmn", k=k, m=m, n=n)))
         graph = enumerate_quandle(pres, EnumerationLimits(100000, 10**9)).graph
-        actions = graph.dense_actions()
+        actions = graph.actions
         inverses = [np.argsort(a) for a in actions]
-        index = graph.live_index()
+        index = {v: i for i, v in enumerate(graph.order.tolist())}
         orbits, edge_sizes = components(graph)
         orbit_of = {}
         for i, orbit in enumerate(orbits):
@@ -264,7 +264,7 @@ def test_component_isomorphisms_across_flype_and_slide():
                 orbit_of[v] = i
 
         def component_members(gen_idx):
-            root = graph.find(graph.basepoint[gen_idx])
+            root = int(graph.order[graph.basepoint[gen_idx]])
             return sorted(index[v] for v in orbits[orbit_of[root]])
 
         def isomorphic(gen_i, gen_j):
