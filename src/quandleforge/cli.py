@@ -119,7 +119,7 @@ def _emit(text: str, path: str | None):
         sys.stdout.write(text)
 
 
-def format_stats(result, pres, quandle) -> str:
+def format_stats(result, quandle) -> str:
     lines = [f"outcome={result.outcome}"]
     if quandle is not None:
         orbits, edge_sizes = components(quandle)
@@ -178,12 +178,12 @@ def cmd_enumerate(args) -> int:
     pres = expand_relations(_load_presentation(args))
     result = enumerate_quandle(pres, _limits(args))
     if not result.completed:
-        _emit(format_stats(result, pres, None), args.output)
+        _emit(format_stats(result, None), args.output)
         return 2
     quandle = result.graph
     violations = verify(quandle, pres)
     if args.format == "stats":
-        _emit(format_stats(result, pres, quandle), args.output)
+        _emit(format_stats(result, quandle), args.output)
     elif args.format == "dot":
         _emit(export_dot(quandle, no_loops=args.no_loops), args.output)
     elif args.format == "json":
@@ -201,7 +201,7 @@ def cmd_verify(args) -> int:
     pres = expand_relations(_load_presentation(args))
     result = enumerate_quandle(pres, _limits(args))
     if not result.completed:
-        print(format_stats(result, pres, None), end="")
+        print(format_stats(result, None), end="")
         return 2
     violations = verify(result.graph, pres)
     for violation in violations:

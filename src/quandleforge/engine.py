@@ -7,12 +7,16 @@ sending x to x acted on by g.  The construction follows Winker's method:
 1. start with one vertex per generator,
 2. add a g-labeled loop at the vertex of g (idempotence),
 3. trace each primary relation x_j^w = x_k as a path from the vertex of
-   x_j forced to end at the vertex of x_k, creating vertices as needed
-   and collapsing fully after each relation,
+   x_j forced to end at the vertex of x_k, collapsing fully after each
+   relation.  Tracing is an HLT scan: it follows defined edges forward
+   from the start and backward from the end, creates vertices only for
+   the undefined gap between the two scans, and closes the gap's last
+   letter onto the backward end with a new edge or a coincidence,
 4. collapsing identifies same-labeled edges into or out of a shared
    vertex, cascading until every action is single-valued,
 5. sweep the vertices in creation order, tracing every universal relation
-   as a closed loop at each live vertex (collapsing after each trace).
+   by the same scan as a closed loop at each live vertex (collapsing
+   after each trace).
 
 Late merges can fold edges into a vertex that was already swept, so the
 sweep keeps a dirty set: any vertex whose edge set changes after it was
@@ -136,8 +140,9 @@ class Quandle(NamedTuple):
 class CayleyGraph:
     """The mutable, possibly partial Cayley graph that enumeration grows.
 
-    :meth:`trace` walks a word (given as :meth:`letters`) from a vertex,
-    creating vertices and edges and returning coincidences;
+    :meth:`trace` scans a word (given as :meth:`letters`) from a vertex
+    to a goal, forward and backward, creating vertices and edges only for
+    the undefined gap between the scans and returning coincidences;
     :meth:`collapse` merges them; :meth:`run` applies both to the
     presentation's relations until the graph is complete or a limit is
     hit, and :meth:`finalize` then turns it into a read-only
@@ -229,66 +234,73 @@ class CayleyGraph:
         ]
 
     def trace(self, start: int, letters, target: int | None = None) -> list[tuple[int, int]]:
-        """Walk a word from ``start``, forcing the last edge onto ``target``.
+        """Scan a word from ``start`` to ``target``, filling in the gap.
 
-        ``letters`` holds one (out table, in table) pair per letter:
-        ``(fwd[g], bwd[g])`` for a generator g and ``(bwd[g], fwd[g])``
-        for its inverse.  Edges and vertices are created as needed except
-        for the final letter, whose edge must land on ``target``
-        (``start`` itself when ``target`` is None, i.e. a universal
-        relation traced as a closed loop).  Returns the coincidences
-        discovered; no merging happens here.
+        ``letters`` holds one (out table, in table) pair per letter of a
+        freely reduced word: ``(fwd[g], bwd[g])`` for a generator g and
+        ``(bwd[g], fwd[g])`` for its inverse.  The path must end at
+        ``target`` (``start`` itself when ``target`` is None, i.e. a
+        universal relation traced as a closed loop).  The scan follows
+        defined edges forward from ``start`` and then backward from the
+        goal, stopping one letter after the forward position at most; new
+        vertices are created only for the letters strictly inside the
+        gap between the two, and the last gap letter is closed onto the
+        backward end by a new edge or a coincidence.  Returns the
+        coincidences discovered; no merging happens here.
+
+        Each letter costs one step.  A trace that would take the step
+        count past ``limits.max_steps`` is not started: the count is set
+        to ``max_steps + 1`` and the limit is hit.
         """
         parent = self.parent
         find = self.find
+        stats = self.stats
+        steps = stats.steps + len(letters)
+        if steps > self.limits.max_steps:
+            stats.steps = self.limits.max_steps + 1
+            raise _LimitHit
+        stats.steps = steps
         cur = start if parent[start] == start else find(start)
         if target is None:
             goal = cur
         else:
             goal = target if parent[target] == target else find(target)
-        if not letters:
-            return [] if goal == cur else [(cur, goal)]
-        pending: list[tuple[int, int]] = []
-        processed = self.processed
-        max_steps = self.limits.max_steps
-        steps = self.stats.steps
+        for i, (out_table, _) in enumerate(letters):
+            nxt = out_table[cur]
+            if nxt < 0:
+                break
+            cur = nxt if parent[nxt] == nxt else find(nxt)
+        else:
+            return [] if cur == goal else [(cur, goal)]
+        # letters[i] is undefined at cur; scan back from the goal down to
+        # letters[i + 1] at most, leaving end where letters[last] must land
         last = len(letters) - 1
-        try:
-            for i, (out_table, in_table) in enumerate(letters):
-                steps += 1
-                if steps > max_steps:
-                    raise _LimitHit
-                nxt = out_table[cur]
-                if nxt >= 0:
-                    if parent[nxt] != nxt:
-                        nxt = find(nxt)
-                    if i == last and nxt != goal:
-                        pending.append((nxt, goal))
-                    cur = nxt
-                elif i < last:
-                    new = self.add_vertex()
-                    out_table[cur] = new
-                    in_table[new] = cur
-                    if processed[cur]:
-                        self.dirty.add(cur)
-                    cur = new
-                else:
-                    back = in_table[goal]
-                    if back >= 0:
-                        if parent[back] != back:
-                            back = find(back)
-                        if back != cur:
-                            pending.append((back, cur))
-                        # else the edge already exists and the loop closes
-                    else:
-                        out_table[cur] = goal
-                        in_table[goal] = cur
-                        for v in (cur, goal):
-                            if processed[v]:
-                                self.dirty.add(v)
-        finally:
-            self.stats.steps = steps
-        return pending
+        end = goal
+        while last > i:
+            prev = letters[last][1][end]
+            if prev < 0:
+                break
+            end = prev if parent[prev] == prev else find(prev)
+            last -= 1
+        processed, dirty = self.processed, self.dirty
+        if i < last and processed[cur]:
+            dirty.add(cur)
+        for out_table, in_table in letters[i:last]:
+            new = self.add_vertex()
+            out_table[cur] = new
+            in_table[new] = cur
+            cur = new
+        out_table, in_table = letters[last]
+        back = in_table[end]
+        if back >= 0:
+            # out_table[cur] is undefined, so back is another vertex
+            return [(back, cur)]
+        out_table[cur] = end
+        in_table[end] = cur
+        for v in (cur, end):
+            if processed[v]:
+                dirty.add(v)
+        return []
 
     def collapse(self, queue: list[tuple[int, int]]) -> None:
         """Process coincidences to exhaustion, consuming ``queue``.

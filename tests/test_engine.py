@@ -5,25 +5,32 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quandleforge import (
+    EdgeLabeling,
     EnumerationLimits,
     FamilyParams,
     Presentation,
+    PrimaryRelation,
     canonical_code,
     canonical_code_of_actions,
     components,
     enumerate_quandle,
     expand_relations,
     family_presentation,
+    parse_diagram,
     parse_presentation,
     parse_word,
     quandle_table,
     verify,
+    wirtinger,
 )
 from quandleforge import engine
-from quandleforge.engine import CayleyGraph
+from quandleforge.engine import CayleyGraph, _LimitHit
+from quandleforge.families import load_diagram_text, table1_rows
 from quandleforge.presentation import UniversalRelation
+from quandleforge.words import GeneratorSymbol, GroupWord, Letter
 
 THETA = "gens: a b c\nedges: a:1 b:2 c:3\nlabels: 3 3 2\nrel * : a b c\n"
 
@@ -43,6 +50,63 @@ def run_graph(pres, limits):
     graph = CayleyGraph(pres, limits)
     assert graph.run()
     return graph
+
+
+class ForwardOnlyGraph(CayleyGraph):
+    """The enumerator with the forward-only walk that ``trace`` replaced,
+    kept as an oracle: it creates a vertex for every undefined letter but
+    the last, then closes the last letter onto the goal."""
+
+    def trace(self, start, letters, target=None):
+        parent = self.parent
+        find = self.find
+        cur = start if parent[start] == start else find(start)
+        if target is None:
+            goal = cur
+        else:
+            goal = target if parent[target] == target else find(target)
+        if not letters:
+            return [] if goal == cur else [(cur, goal)]
+        pending = []
+        processed = self.processed
+        max_steps = self.limits.max_steps
+        steps = self.stats.steps
+        last = len(letters) - 1
+        try:
+            for i, (out_table, in_table) in enumerate(letters):
+                steps += 1
+                if steps > max_steps:
+                    raise _LimitHit
+                nxt = out_table[cur]
+                if nxt >= 0:
+                    if parent[nxt] != nxt:
+                        nxt = find(nxt)
+                    if i == last and nxt != goal:
+                        pending.append((nxt, goal))
+                    cur = nxt
+                elif i < last:
+                    new = self.add_vertex()
+                    out_table[cur] = new
+                    in_table[new] = cur
+                    if processed[cur]:
+                        self.dirty.add(cur)
+                    cur = new
+                else:
+                    back = in_table[goal]
+                    if back >= 0:
+                        if parent[back] != back:
+                            back = find(back)
+                        if back != cur:
+                            pending.append((back, cur))
+                    else:
+                        out_table[cur] = goal
+                        in_table[goal] = cur
+                        for v in (cur, goal):
+                            if processed[v]:
+                                self.dirty.add(v)
+        finally:
+            self.stats.steps = steps
+        return pending
 
 
 def test_single_generator_free_quandle():
@@ -76,10 +140,10 @@ def test_limit_exceeded_is_report_not_error():
     assert res.stats.live > 0
 
 
-def _fresh_graph():
+def _fresh_graph(cls=CayleyGraph):
     # enumeration state right after the basepoint loops, no relations traced
     pres = theta((2, 2, 2))
-    return pres, CayleyGraph(pres, EnumerationLimits(1000, 10**6))
+    return pres, cls(pres, EnumerationLimits(1000, 10**6))
 
 
 def test_trace_existing_loop_is_noop():
@@ -113,6 +177,58 @@ def test_trace_conflicting_edge_queues_coincidence():
     # ... so forcing vb --a--> vc afterwards is a coincidence (vb, vc)
     pending = graph.trace(vb, graph.letters(parse_word("a", syms)), vc)
     assert pending == [(vb, vc)]
+
+
+def test_trace_creates_only_the_gap_vertices():
+    pres, graph = _fresh_graph()
+    syms = {g.name: g for g in pres.generators}
+    word = parse_word("b c b a", syms)
+    b, c = syms["b"].id, syms["c"].id
+    va = graph.basepoint[syms["a"].id]
+    v = graph.add_vertex()
+    # b c b is undefined from v and the last letter, a, is the loop at
+    # va: the backward scan covers a, leaving a gap of three letters
+    assert graph.trace(v, graph.letters(word), va) == []
+    assert graph.stats.vertices_created == 4 + 2
+    assert graph.stats.steps == 4
+    assert graph.fwd[b][graph.fwd[c][graph.fwd[b][v]]] == va
+    # the forward-only walk also creates a vertex for the defined suffix,
+    # to be merged into va
+    oracle = _fresh_graph(ForwardOnlyGraph)[1]
+    v = oracle.add_vertex()
+    assert oracle.trace(v, oracle.letters(word), va) == [(va, v + 3)]
+    assert oracle.stats.vertices_created == 4 + 3
+    assert oracle.stats.steps == 4
+
+
+def test_trace_gap_of_one_closes_by_deduction():
+    pres, graph = _fresh_graph()
+    syms = {g.name: g for g in pres.generators}
+    va, vb = graph.basepoint[syms["a"].id], graph.basepoint[syms["b"].id]
+    c = syms["c"].id
+    assert graph.trace(vb, graph.letters(parse_word("c a", syms)), va) == []
+    assert graph.stats.vertices_created == 3
+    assert graph.fwd[c][vb] == va and graph.bwd[c][va] == vb
+
+
+def test_trace_scans_meeting_at_different_vertices_return_one_pair():
+    pres, graph = _fresh_graph()
+    syms = {g.name: g for g in pres.generators}
+    va, vb = graph.basepoint[syms["a"].id], graph.basepoint[syms["b"].id]
+    u = graph.add_vertex()
+    assert graph.trace(u, graph.letters(parse_word("c", syms)), va) == []  # u --c--> va
+    # forward stops at vb and backward at va, one letter apart, but the
+    # c-edge into va comes from u
+    assert graph.trace(vb, graph.letters(parse_word("c a", syms)), va) == [(u, vb)]
+    assert graph.stats.vertices_created == 4
+
+
+def test_trace_complete_forward_scan_returns_endpoints():
+    pres, graph = _fresh_graph()
+    syms = {g.name: g for g in pres.generators}
+    vb, vc = graph.basepoint[syms["b"].id], graph.basepoint[syms["c"].id]
+    assert graph.trace(vb, graph.letters(parse_word("b b", syms)), vc) == [(vb, vc)]
+    assert graph.stats.vertices_created == 3
 
 
 def test_collapse_empty_queue():
@@ -329,14 +445,16 @@ def test_limits_reject_vertex_ids_beyond_int32():
         EnumerationLimits(max_vertices=2**31)
 
 
-# engine counters as measured before the tables moved to int32 arrays;
-# the storage must not change the algorithm, its order or its numbering
+# engine counters of the gap-only scan; any change to the algorithm, its
+# order or its numbering shows here.  Against the forward-only walk
+# (ForwardOnlyGraph), created, merges and steps fell; live and relations
+# traced of the completed runs are unchanged
 @pytest.mark.parametrize("params, limits, counters", [
-    (FamilyParams("K4knot"), EnumerationLimits(2_000_000, 20_000), (5068, 2969, 5799, 20001, 2099)),
-    (FamilyParams("K4knot"), EnumerationLimits(5000, 10**9), (5000, 2935, 5733, 19772, 2065)),
-    (FamilyParams("Gkmn", k=2, m=3, n=5), EnumerationLimits(), (1305, 1153, 1540, 6389, 152)),
-    (FamilyParams("DH", labels=(2, 2, 2, 3, 2, 2)), EnumerationLimits(), (596, 494, 1430, 4270, 102)),
-    (FamilyParams("theta3", labels=(3, 3, 2)), EnumerationLimits(), (36, 22, 56, 176, 14)),
+    (FamilyParams("K4knot"), EnumerationLimits(2_000_000, 20_000), (3526, 1236, 6389, 20001, 2290)),
+    (FamilyParams("K4knot"), EnumerationLimits(5000, 10**9), (5000, 1701, 9001, 28142, 3299)),
+    (FamilyParams("Gkmn", k=2, m=3, n=5), EnumerationLimits(), (772, 620, 1540, 5856, 152)),
+    (FamilyParams("DH", labels=(2, 2, 2, 3, 2, 2)), EnumerationLimits(), (353, 251, 1430, 4027, 102)),
+    (FamilyParams("theta3", labels=(3, 3, 2)), EnumerationLimits(), (18, 4, 56, 158, 14)),
 ])
 def test_engine_counters_pinned(params, limits, counters):
     stats = enumerate_quandle(expand_relations(family_presentation(params)), limits).stats
@@ -357,5 +475,83 @@ def test_memory_per_created_vertex():
     finally:
         tracemalloc.stop()
     assert res.outcome == "limit-exceeded"
-    assert res.stats.vertices_created == 43596
+    assert res.stats.vertices_created == 28423
     assert peak / res.stats.vertices_created <= 8 * g + 64
+
+
+def _run_both(pres, limits):
+    """The forward-only oracle and the enumerator, each run to its end."""
+    oracle, graph = ForwardOnlyGraph(pres, limits), CayleyGraph(pres, limits)
+    return oracle, oracle.run(), graph, graph.run()
+
+
+def assert_same_quandle_with_less_work(oracle, graph):
+    a, b = oracle.finalize(), graph.finalize()
+    assert len(a.order) == len(b.order)
+    for name in ("actions", "inverses", "basepoint"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+    ref, new = oracle.stats, graph.stats
+    assert (new.live, new.relations_traced) == (ref.live, ref.relations_traced)
+    assert new.vertices_created <= ref.vertices_created
+    assert new.merges <= ref.merges
+    # both charge one step per letter traced, so only merges are saved
+    assert ref.steps - new.steps == ref.merges - new.merges
+    assert new.vertices_created - new.merges == new.live
+
+
+EQUIVALENCE_INPUTS = (
+    [
+        (f"table1-{row['family']}-{'_'.join(map(str, row['labels']))}",
+         FamilyParams(row["family"], labels=tuple(row["labels"])))
+        for row in table1_rows() if not row.get("slow")
+    ]
+    + [(f"Gkm-{k}_{m}", FamilyParams("Gkm", k=k, m=m)) for k in range(1, 5) for m in range(1, 5)]
+    + [
+        (f"Gkmn-{k}_{m}_{n}", FamilyParams("Gkmn", k=k, m=m, n=n))
+        for k in range(1, 5) for m in range(1, 5) for n in range(1, 5)
+    ]
+    + [("diagram-kt", None)]
+)
+
+
+@pytest.mark.parametrize(
+    "params", [p for _, p in EQUIVALENCE_INPUTS], ids=[name for name, _ in EQUIVALENCE_INPUTS]
+)
+def test_gap_scan_matches_forward_only_walk(params):
+    """The gap-only scan ends with the quandle of the forward-only walk,
+    numbered the same, after fewer created vertices and merges."""
+    if params is None:
+        pres = expand_relations(wirtinger(parse_diagram(load_diagram_text("kt"))))
+    else:
+        pres = expand_relations(family_presentation(params))
+    oracle, oracle_done, graph, done = _run_both(pres, EnumerationLimits(2_000_000, 10**9))
+    assert oracle_done and done
+    assert_same_quandle_with_less_work(oracle, graph)
+
+
+@st.composite
+def small_presentations(draw):
+    """2-3 generators on edges of their own, labels 2-3, one or two
+    universal words and at most one primary relation, of 1-6 letters."""
+    ngens = draw(st.integers(2, 3))
+    gens = [GeneratorSymbol(i, "abc"[i]) for i in range(ngens)]
+    labels = draw(st.lists(st.integers(2, 3), min_size=ngens, max_size=ngens))
+    letter = st.builds(Letter, st.sampled_from(gens), st.sampled_from((1, -1)))
+    word = st.lists(letter, min_size=1, max_size=6).map(GroupWord).filter(len)
+    universals = [UniversalRelation(w) for w in draw(st.lists(word, min_size=1, max_size=2))]
+    primaries = [
+        PrimaryRelation(draw(st.sampled_from(gens)), w, draw(st.sampled_from(gens)))
+        for w in draw(st.lists(word, max_size=1))
+    ]
+    edge_of = {gen: gen.id + 1 for gen in gens}
+    pres = Presentation(gens, edge_of, EdgeLabeling(tuple(labels)), primaries, universals)
+    return expand_relations(pres)
+
+
+@settings(derandomize=True, database=None, max_examples=120, deadline=None)
+@given(small_presentations())
+def test_gap_scan_matches_forward_only_walk_on_random_presentations(pres):
+    oracle, oracle_done, graph, done = _run_both(pres, EnumerationLimits(3000, 10**6))
+    if oracle_done:
+        assert done
+        assert_same_quandle_with_less_work(oracle, graph)
