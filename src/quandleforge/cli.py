@@ -137,7 +137,7 @@ def export_dot(quandle: Quandle, no_loops: bool = False) -> str:
     """Deterministic DOT rendering: one node per element, one directed
     edge per (element, generator), colored by generator."""
     lines = ["digraph quandle {"]
-    lines += [f'  n{i} [label="{i}"];' for i in range(len(quandle.order))]
+    lines += [f'  n{i} [label="{i}"];' for i in range(quandle.actions.shape[1])]
     for g, (gen, row) in enumerate(zip(quandle.gens, quandle.actions.tolist())):
         attrs = f'[label="{gen.name}" color="{DOT_COLORS[g % len(DOT_COLORS)]}"];'
         lines += [f"  n{i} -> n{j} {attrs}" for i, j in enumerate(row) if not (no_loops and i == j)]
@@ -150,7 +150,7 @@ def export_json(quandle: Quandle, pres: Presentation, stats) -> str:
     root, edge_sizes = _orbits(quandle)
     edge_root = {pres.edge_of[gen]: root[quandle.basepoint[gen.id]] for gen in quandle.gens}
     doc = {
-        "size": len(quandle.order),
+        "size": quandle.actions.shape[1],
         "edge_labels": list(pres.labels),
         "components": [
             {

@@ -14,16 +14,19 @@ sending x to x acted on by g.  The construction follows Winker's method:
    letter onto the backward end with a new edge or a coincidence,
 4. collapsing identifies same-labeled edges into or out of a shared
    vertex, cascading until every action is single-valued,
-5. sweep the vertices in creation order, tracing every universal relation
-   by the same scan as a closed loop at each live vertex (collapsing
-   after each trace).
+5. sweep the vertices once in creation order, tracing every universal
+   relation by the same scan as a closed loop at each live vertex
+   (collapsing after each trace).
 
-Late merges can fold edges into a vertex that was already swept, so the
-sweep keeps a dirty set: any vertex whose edge set changes after it was
-processed is queued for re-tracing.  Enumeration finishes when the sweep
-pointer is exhausted and the dirty set is empty; it aborts with a
-limit-exceeded report when the vertex or step budget runs out, which is
-the only possible outcome for an infinite quandle.
+One pass suffices.  A universal loop closed at a vertex stays closed in
+every quotient, since merging maps paths to paths, so re-tracing a
+vertex after later edges or merges can never change anything.  And
+liveness only goes from live to dead, so every vertex still live at the
+end was live when the sweep pointer passed it, and had every universal
+loop closed at it then.  Enumeration finishes when the sweep pointer
+passes the last vertex; it aborts with a limit-exceeded report when the
+vertex or step budget runs out, which is the only possible outcome for
+an infinite quandle.
 
 A completed graph is finalized once into a read-only :class:`Quandle`
 (dense arrays over elements), which every analysis function here takes.
@@ -110,16 +113,15 @@ class Quandle(NamedTuple):
     """A finished N-quandle: the live part of a completed Cayley graph as
     read-only dense arrays.
 
-    Elements are numbered 0..n-1 in the creation order of their vertices:
-    ``order[i]`` is the vertex id of element i, so ``order`` is sorted.
-    Row g of ``actions`` / ``inverses`` is generator g's forward /
-    backward action on elements, -1 where undefined (never, once
-    enumeration completed); ``basepoint[g]`` is the element of generator
-    g.  All four are int64 arrays marked read-only.
+    Elements are numbered 0..n-1 in the creation order of their vertices;
+    vertex ids never leave the enumerator.  Row g of ``actions`` /
+    ``inverses`` is generator g's forward / backward action on elements,
+    -1 where undefined (never, once enumeration completed);
+    ``basepoint[g]`` is the element of generator g.  All three are int64
+    arrays marked read-only.
     """
 
     pres: Presentation
-    order: np.ndarray
     actions: np.ndarray
     inverses: np.ndarray
     basepoint: np.ndarray
@@ -150,22 +152,23 @@ class CayleyGraph:
 
     Per generator, ``fwd`` and ``bwd`` hold a partial bijection on
     vertices and its inverse, kept mutually consistent; -1 marks an
-    undefined image.  Merged vertices stay in the tables but are marked
-    dead, with ``parent`` the union-find structure mapping them to their
-    representative; stored vertex ids must be resolved through
-    :meth:`find` when read.  ``basepoint[g]`` is the vertex created for
-    generator g.  In a completed graph every action is total on live
-    vertices and the vertex of each generator carries a loop under that
-    generator.
+    undefined image.  ``parent`` is the union-find structure and the only
+    record of liveness: a vertex v is live while ``parent[v] == v``, and a
+    merged vertex stays in the tables, pointing towards its
+    representative, so stored vertex ids must be resolved through
+    :meth:`find` when read.  Each merge kills exactly one vertex, so
+    ``size - stats.merges`` vertices are live.  ``basepoint[g]`` is the
+    vertex created for generator g.  In a completed graph every action
+    is total on live vertices and the vertex of each generator carries a
+    loop under that generator.
 
     Storage is indexed by vertex id: ``fwd[g]`` and ``bwd[g]`` are
-    ``array("i")`` int32 tables, ``live`` and ``processed`` are
-    bytearrays and ``parent`` is a list.  They are grown in place
-    together, by an eighth of their capacity and at least 1024 slots,
-    when a vertex is created at capacity, so each stays the same object
-    for the graph's whole life; slots past ``size`` (the number of
-    vertices created) hold -1 or 0.  A created vertex costs about
-    8 g + 40 bytes for g generators whether or not it is still live, and
+    ``array("i")`` int32 tables and ``parent`` is a list.  They are
+    grown in place together, by an eighth of their capacity and at least
+    1024 slots, when a vertex is created at capacity, so each stays the
+    same object for the graph's whole life; slots past ``size`` (the
+    number of vertices created) hold -1.  A created vertex costs about
+    8 g + 38 bytes for g generators whether or not it is still live, and
     ``limits.max_vertices`` bounds created vertices, not live ones.
     """
 
@@ -177,10 +180,7 @@ class CayleyGraph:
         self.bwd: list[array] = [array("i") for _ in range(ngens)]
         self.tables = self.fwd + self.bwd
         self.parent: list[int] = []
-        self.live = bytearray()
-        self.processed = bytearray()
         self.size = 0
-        self.dirty: set[int] = set()
         self.stats = EnumerationStats()
         self.basepoint: list[int] = [self.add_vertex() for _ in range(ngens)]
         for g in range(ngens):
@@ -196,8 +196,6 @@ class CayleyGraph:
         for table in self.tables:
             table.extend(undefined)
         self.parent.extend(repeat(-1, chunk))
-        self.live.extend(bytes(chunk))
-        self.processed.extend(bytes(chunk))
 
     def add_vertex(self) -> int:
         v = self.size
@@ -206,7 +204,6 @@ class CayleyGraph:
         if v == len(self.parent):
             self._grow()
         self.parent[v] = v
-        self.live[v] = 1
         self.size = v + 1
         self.stats.vertices_created += 1
         return v
@@ -219,9 +216,6 @@ class CayleyGraph:
         while parent[v] != root:
             parent[v], v = root, parent[v]
         return root
-
-    def vertex_count(self) -> int:
-        return self.live.count(1)
 
     # -- tracing and collapsing ---------------------------------------------
 
@@ -282,9 +276,6 @@ class CayleyGraph:
                 break
             end = prev if parent[prev] == prev else find(prev)
             last -= 1
-        processed, dirty = self.processed, self.dirty
-        if i < last and processed[cur]:
-            dirty.add(cur)
         for out_table, in_table in letters[i:last]:
             new = self.add_vertex()
             out_table[cur] = new
@@ -297,9 +288,6 @@ class CayleyGraph:
             return [(back, cur)]
         out_table[cur] = end
         in_table[end] = cur
-        for v in (cur, end):
-            if processed[v]:
-                dirty.add(v)
         return []
 
     def collapse(self, queue: list[tuple[int, int]]) -> None:
@@ -310,7 +298,7 @@ class CayleyGraph:
         both vertices carried distinct images.  Afterwards no live vertex
         has two same-labeled edges in or out.
         """
-        parent, live, processed, dirty = self.parent, self.live, self.processed, self.dirty
+        parent = self.parent
         find = self.find
         tables = self.tables
         max_steps = self.limits.max_steps
@@ -328,9 +316,7 @@ class CayleyGraph:
                 if steps > max_steps:
                     raise _LimitHit
                 parent[rv] = ru
-                live[rv] = 0
                 merges += 1
-                changed = False
                 for table in tables:
                     tv = table[rv]
                     if tv < 0:
@@ -338,14 +324,10 @@ class CayleyGraph:
                     tu = table[ru]
                     if tu < 0:
                         table[ru] = tv
-                        changed = True
                     elif (tu if parent[tu] == tu else find(tu)) != (
                         tv if parent[tv] == tv else find(tv)
                     ):
                         queue.append((tu, tv))
-                if changed and processed[ru]:
-                    dirty.add(ru)
-                dirty.discard(rv)
         finally:
             self.stats.steps, self.stats.merges = steps, merges
 
@@ -366,34 +348,22 @@ class CayleyGraph:
                     self.collapse(pending)
                 stats.relations_traced += 1
 
-            live, processed, dirty = self.live, self.processed, self.dirty
-            pointer = 0
-            while True:
-                if pointer < self.size:
-                    v = pointer
-                    pointer += 1
-                    if not live[v] or processed[v]:
-                        continue
-                elif dirty:
-                    v = min(dirty)
-                    dirty.discard(v)
-                    if not live[v]:
-                        continue
-                else:
-                    break
-                cur = self.find(v)
-                for letters in universals:
-                    pending = self.trace(cur, letters)
-                    if pending:
-                        self.collapse(pending)
-                        cur = self.find(cur)
-                    stats.relations_traced += 1
-                processed[cur] = 1
-                dirty.discard(cur)
+            parent = self.parent
+            v = 0
+            while v < self.size:  # the sweep creates vertices as it goes
+                if parent[v] == v:
+                    cur = v
+                    for letters in universals:
+                        pending = self.trace(cur, letters)
+                        if pending:
+                            self.collapse(pending)
+                            cur = self.find(cur)
+                        stats.relations_traced += 1
+                v += 1
         except _LimitHit:
             return False
         finally:
-            stats.live = self.vertex_count()
+            stats.live = self.size - stats.merges
         return True
 
     def finalize(self) -> Quandle:
@@ -401,12 +371,12 @@ class CayleyGraph:
 
         Only the live rows of the action tables are read.  Their vertex
         ids are resolved to representatives all at once, by following
-        ``parent`` as one array, so the cost is O(g n) plus one copy of
-        ``parent``.  Live vertices are numbered in creation order;
+        ``parent`` as one int32 array, so the cost is O(g n) plus one copy
+        of ``parent``.  Live vertices are numbered in creation order;
         undefined images stay -1.
         """
-        parent = np.fromiter(self.parent, dtype=np.int64, count=self.size)
-        order = np.flatnonzero(np.frombuffer(self.live, dtype=np.uint8, count=self.size))
+        parent = np.fromiter(self.parent, dtype=np.int32, count=self.size)
+        order = np.flatnonzero(parent == np.arange(self.size, dtype=np.int32))
 
         def element(ids):
             while True:
@@ -422,7 +392,7 @@ class CayleyGraph:
             return np.where(raw >= 0, element(raw), -1)
 
         arrays = (
-            order, resolve(self.fwd), resolve(self.bwd),
+            resolve(self.fwd), resolve(self.bwd),
             element(np.asarray(self.basepoint, dtype=np.int64)),
         )
         for a in arrays:
@@ -497,17 +467,17 @@ def _orbits(quandle: Quandle) -> tuple[np.ndarray, dict[int, int]]:
 
 
 def components(quandle: Quandle):
-    """Orbits of the vertex set under all generator actions.
+    """Orbits of the elements under all generator actions.
 
     Returns ``(orbits, edge_sizes)`` where orbits is a list of lists of
-    live vertex ids (each sorted, ordered by smallest member) and
+    element indices (each sorted, ordered by smallest member) and
     edge_sizes maps each graph edge index to the size of the component
     containing that edge's generators.
     """
     root, edge_sizes = _orbits(quandle)
     by_orbit = np.argsort(root, kind="stable")
     cuts = np.flatnonzero(np.diff(root[by_orbit])) + 1
-    orbits = [quandle.order[part].tolist() for part in np.split(by_orbit, cuts)]
+    orbits = [part.tolist() for part in np.split(by_orbit, cuts)]
     return orbits, edge_sizes
 
 
@@ -595,7 +565,7 @@ def verify(quandle: Quandle, pres: Presentation, full_axiom_limit: int = 400) ->
     Always verified: actions are total mutually inverse bijections, the
     three axioms (self-distributivity via the point symmetries of the
     generators, which conjugate to those of all elements), every primary
-    relation path, every universal relation loop at every vertex, and
+    relation path, every universal relation loop at every element, and
     the order of the point symmetry of every element of each component.
     Up to ``full_axiom_limit`` elements, the axioms are additionally
     checked on all pairs/triples of the operation table directly.
@@ -607,9 +577,9 @@ def verify(quandle: Quandle, pres: Presentation, full_axiom_limit: int = 400) ->
     generators.  A table that cannot be allocated raises MemoryError.
     """
     violations: list[str] = []
-    actions, inverses, order = quandle.actions, quandle.inverses, quandle.order
+    actions, inverses = quandle.actions, quandle.inverses
     bases, gens = quandle.basepoint, quandle.gens
-    n = len(order)
+    n = actions.shape[1]
     identity = np.arange(n)
 
     for g, gen in enumerate(gens):
@@ -617,9 +587,9 @@ def verify(quandle: Quandle, pres: Presentation, full_axiom_limit: int = 400) ->
         back = inverses[g][np.where(partial, 0, actions[g])]
         for i in np.flatnonzero(partial | (back != identity)).tolist():
             if partial[i]:
-                violations.append(f"action of {gen.name} partial at vertex {order[i]}")
+                violations.append(f"action of {gen.name} partial at element {i}")
             else:
-                violations.append(f"fwd/bwd inconsistent for {gen.name} at vertex {order[i]}")
+                violations.append(f"fwd/bwd inconsistent for {gen.name} at element {i}")
     if violations:
         return violations
 
@@ -637,7 +607,7 @@ def verify(quandle: Quandle, pres: Presentation, full_axiom_limit: int = 400) ->
     for rel in pres.universals:
         open_at = np.flatnonzero(quandle.follow(rel.word, identity) != identity)
         if open_at.size:
-            violations.append(f"universal relation {rel} open at vertex {order[open_at[0]]}")
+            violations.append(f"universal relation {rel} open at element {open_at[0]}")
 
     root, _ = _orbits(quandle)
     orbit_label: dict[int, int] = {}
@@ -680,7 +650,7 @@ def verify(quandle: Quandle, pres: Presentation, full_axiom_limit: int = 400) ->
         label_of_orbit = {}
         for g, gen in enumerate(gens):
             label_of_orbit[int(root[bases[g]])] = pres.label_of(gen)
-        for i, v in enumerate(order.tolist()):
+        for i in range(n):
             label = label_of_orbit.get(int(root[i]))
             if label is None:
                 continue
@@ -688,7 +658,7 @@ def verify(quandle: Quandle, pres: Presentation, full_axiom_limit: int = 400) ->
             for _ in range(label):
                 power = rows[i][power]
             if not np.array_equal(power, identity):
-                violations.append(f"element {v} violates the order of its component label")
+                violations.append(f"element {i} violates the order of its component label")
                 break
 
     return violations

@@ -227,7 +227,7 @@ def test_criterion_7_relation_lemmas():
                 pres = expand_relations(family_presentation(FamilyParams("Gkmn", k=k, m=m, n=n)))
                 graph = enumerate_quandle(pres, LIMITS).graph
                 word = lambda text: _word_permutation(graph, text, pres)
-                identity = np.arange(len(graph.order))
+                identity = np.arange(graph.actions.shape[1])
                 checks = [
                     (word("d a d"), word("a")),
                     (word("d' a d'"), word("a")),

@@ -208,7 +208,7 @@ def test_int32_vertex_limit_exits_one(capsys, monkeypatch):
 # produce the same bytes.
 
 def live_vertices(graph):
-    return [v for v in range(graph.size) if graph.live[v]]
+    return [v for v in range(graph.size) if graph.parent[v] == v]
 
 
 def reference_export_dot(graph, no_loops=False):
@@ -236,10 +236,10 @@ def reference_export_json(graph, pres, stats):
     orbits, edge_sizes = components(graph.finalize())
     orbit_of = {}
     for i, orbit in enumerate(orbits):
-        for v in orbit:
-            orbit_of[v] = i
+        for x in orbit:
+            orbit_of[x] = i
     edge_orbit = {
-        pres.edge_of[gen]: orbit_of[graph.find(graph.basepoint[gen.id])]
+        pres.edge_of[gen]: orbit_of[index[graph.find(graph.basepoint[gen.id])]]
         for gen in pres.generators
     }
     doc = {
@@ -249,7 +249,7 @@ def reference_export_json(graph, pres, stats):
             {
                 "edge": edge,
                 "size": edge_sizes[edge],
-                "members": sorted(index[v] for v in orbits[edge_orbit[edge]]),
+                "members": orbits[edge_orbit[edge]],
             }
             for edge in sorted(edge_sizes)
         ],

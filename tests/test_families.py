@@ -256,16 +256,14 @@ def test_component_isomorphisms_across_flype_and_slide():
         graph = enumerate_quandle(pres, EnumerationLimits(100000, 10**9)).graph
         actions = graph.actions
         inverses = [np.argsort(a) for a in actions]
-        index = {v: i for i, v in enumerate(graph.order.tolist())}
         orbits, edge_sizes = components(graph)
         orbit_of = {}
         for i, orbit in enumerate(orbits):
-            for v in orbit:
-                orbit_of[v] = i
+            for x in orbit:
+                orbit_of[x] = i
 
         def component_members(gen_idx):
-            root = int(graph.order[graph.basepoint[gen_idx]])
-            return sorted(index[v] for v in orbits[orbit_of[root]])
+            return orbits[orbit_of[int(graph.basepoint[gen_idx])]]
 
         def isomorphic(gen_i, gen_j):
             members_a = component_members(gen_i)

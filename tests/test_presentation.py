@@ -167,7 +167,7 @@ def test_secondary_loops_close_on_enumerated_quandle():
     expanded = expand_relations(pres)
     quandle = enumerate_quandle(expanded, EnumerationLimits(10000, 10**8)).graph
     sec = secondary_of(pres.primaries[0])
-    for x in range(len(quandle.order)):
+    for x in range(quandle.actions.shape[1]):
         assert quandle.follow(sec.word, x) == x
 
 
