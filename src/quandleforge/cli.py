@@ -42,7 +42,7 @@ from .families import (
     table1_rows,
 )
 from .presentation import Presentation, expand_relations, parse_presentation
-from .words import ParseError
+from .words import ParseError, parse_labels, read_key_lines
 
 DOT_COLORS = ("black", "red", "blue", "forestgreen", "darkorange", "purple", "brown", "cadetblue")
 
@@ -68,7 +68,7 @@ def _add_input_options(sub: argparse.ArgumentParser):
     sub.add_argument("--k", type=int, help="twist count for Gkmn/Gkm (nonzero)")
     sub.add_argument("--m", type=int, help="first strut label")
     sub.add_argument("--n", type=int, help="second strut label")
-    sub.add_argument("--labels", help="edge labels n1,n2,... overriding the input's")
+    sub.add_argument("--labels", help="edge labels n1,n2,... (commas or spaces), one per edge, overriding the input's")
     _add_limit_options(sub)
 
 
@@ -78,26 +78,17 @@ def _add_output_options(sub: argparse.ArgumentParser, default_format: str):
     sub.add_argument("--no-loops", action="store_true", help="suppress self-loop edges in DOT")
 
 
-def _parse_labels(text: str | None):
-    if text is None:
-        return None
-    try:
-        return tuple(int(tok) for tok in text.replace(",", " ").split())
-    except ValueError:
-        raise ParseError(f"bad label list {text!r}")
-
-
 def _load_presentation(args) -> Presentation:
     if (args.family is None) == (args.input is None):
         raise ParseError("exactly one of --family and --input is required")
-    labels = _parse_labels(args.labels)
+    labels = None if args.labels is None else parse_labels(args.labels.replace(",", " "))
     if args.family:
         return family_presentation(
             FamilyParams(args.family, k=args.k, m=args.m, n=args.n, labels=labels)
         )
     with open(args.input, encoding="utf-8") as handle:
         text = handle.read()
-    if any(line.split("#", 1)[0].strip().startswith("arcs:") for line in text.splitlines()):
+    if any(key == "arcs" for _, key, _, _ in read_key_lines(text)):
         pres = diagram_mod.wirtinger(diagram_mod.parse_diagram(text))
     else:
         pres = parse_presentation(text)

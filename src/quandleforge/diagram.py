@@ -9,7 +9,8 @@ vertex and ``-`` for one directed out.  Arc ends not consumed by a
 crossing or vertex close up onto the rest of their component (as in a
 crossingless unknot).
 
-Text format (line oriented, ``#`` comments)::
+Text format (line oriented, ``#`` comments, the reader and label list
+shared with presentations)::
 
     arcs: 3
     edge: 1:1 2:2 3:3            # arc:edge, both 1-based
@@ -33,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .presentation import EdgeLabeling, Presentation, PrimaryRelation, UniversalRelation
-from .words import GeneratorSymbol, GroupWord, Letter, ParseError
+from .words import GeneratorSymbol, GroupWord, Letter, ParseError, parse_labels, read_key_lines
 
 
 @dataclass(frozen=True)
@@ -151,15 +152,7 @@ def parse_diagram(text: str) -> DiagramSpec:
     crossings: list[Crossing] = []
     vertices: list[tuple[tuple[int, int], ...]] = []
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key, sep, rest = line.partition(":")
-        if not sep:
-            raise ParseError(f"expected 'key: value', got {line!r}", lineno, 1)
-        key = key.strip()
-        rest = rest.strip()
+    for lineno, key, rest, _ in read_key_lines(text):
         if key == "arcs":
             try:
                 arc_count = int(rest)
@@ -175,13 +168,7 @@ def parse_diagram(text: str) -> DiagramSpec:
                 if not sep2:
                     raise ParseError(f"bad edge assignment {item!r}", lineno, 1)
         elif key == "labels":
-            try:
-                labels = tuple(int(tok) for tok in rest.split())
-            except ValueError:
-                raise ParseError(f"bad label list {rest!r}", lineno, 1) from None
-            for n in labels:
-                if n < 1:
-                    raise ParseError(f"edge label must be >= 1, got {n}", lineno, 1)
+            labels = parse_labels(rest, lineno)
         elif key.startswith("xing"):
             sign_str = key[4:].strip()
             if sign_str == "+":

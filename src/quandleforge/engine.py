@@ -38,7 +38,7 @@ Coincidence processing keeps the lower-numbered vertex as representative.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import repeat
 from typing import NamedTuple
 
@@ -82,13 +82,7 @@ class EnumerationStats:
     live: int = 0
 
     def as_dict(self) -> dict:
-        return {
-            "vertices_created": self.vertices_created,
-            "merges": self.merges,
-            "relations_traced": self.relations_traced,
-            "steps": self.steps,
-            "live": self.live,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -413,7 +407,10 @@ def enumerate_quandle(pres: Presentation, limits: EnumerationLimits | None = Non
         return EnumerationResult("limit-exceeded", None, graph.stats)
     quandle = graph.finalize()
     if (quandle.actions < 0).any() or (quandle.inverses < 0).any():
-        raise RuntimeError("completed enumeration left a partial action")
+        raise ValueError(
+            "completed enumeration left a partial action: the presentation lacks "
+            "power relations; pass it through expand_relations first"
+        )
     # cheap end-to-end re-check of the primaries, catching trace bugs early
     bases = quandle.basepoint
     for rel in pres.primaries:
@@ -529,6 +526,9 @@ def quandle_table(quandle: Quandle) -> np.ndarray:
 # Entries per row block in the n x n table checks; this bounds each
 # temporary they make, whatever n is.
 _BLOCK_ENTRIES = 1 << 20
+# Up to this many elements, verify also checks the axioms on all pairs and
+# triples of the operation table directly.
+_FULL_AXIOM_LIMIT = 400
 
 
 def _row_blocks(n: int):
@@ -559,7 +559,7 @@ def _preserves_table(rows: np.ndarray, u: np.ndarray) -> bool:
     return True
 
 
-def verify(quandle: Quandle, pres: Presentation, full_axiom_limit: int = 400) -> list[str]:
+def verify(quandle: Quandle, pres: Presentation) -> list[str]:
     """Check a finished quandle against the quandle axioms and relations.
 
     Always verified: actions are total mutually inverse bijections, the
@@ -567,7 +567,7 @@ def verify(quandle: Quandle, pres: Presentation, full_axiom_limit: int = 400) ->
     generators, which conjugate to those of all elements), every primary
     relation path, every universal relation loop at every element, and
     the order of the point symmetry of every element of each component.
-    Up to ``full_axiom_limit`` elements, the axioms are additionally
+    Up to ``_FULL_AXIOM_LIMIT`` (400) elements, the axioms are additionally
     checked on all pairs/triples of the operation table directly.
     Returns a list of violations; empty means verified.
 
@@ -642,7 +642,7 @@ def verify(quandle: Quandle, pres: Presentation, full_axiom_limit: int = 400) ->
         if not _preserves_table(rows, actions[g]):
             violations.append(f"axiom A3 fails under the point symmetry of {gen.name}")
 
-    if n <= full_axiom_limit:
+    if n <= _FULL_AXIOM_LIMIT:
         for z in range(n):
             if not _preserves_table(rows, rows[z]):
                 violations.append(f"axiom A3 fails at element {z}")

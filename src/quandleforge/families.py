@@ -108,58 +108,36 @@ def load_diagram_text(name: str) -> str:
 
 def table1_rows() -> list[dict]:
     """The regression manifest: family, labels, expected size, slow flag."""
-    return json.loads(_read_data_text("table1.json"))["rows"]
+    return json.loads(_load_checked("table1.json"))["rows"]
 
 
-def _gkmn_presentation(k: int, m: int, n: int) -> Presentation:
-    if k == 0:
-        raise ValueError("Gkmn requires a nonzero twist count k")
-    if m < 1 or n < 1:
-        raise ValueError("Gkmn requires strut labels m, n >= 1")
-    gens = [GeneratorSymbol(i, name) for i, name in enumerate(GENERATOR_ORDER)]
-    symbols = {g.name: g for g in gens}
-    words = [
-        "d e a",
-        "b d f",
-        f"c (a b)^{k} a e",
-        f"f c (a b)^{k - 1} a",
-    ]
-    universals = []
-    for text in words:
-        word = parse_word(text, symbols)
-        if word:
-            universals.append(UniversalRelation(word))
-    return Presentation(
-        gens,
-        {g: i + 1 for i, g in enumerate(gens)},
-        EdgeLabeling((2, 2, m, n, 2, 2)),
-        primaries=(),
-        universals=universals,
-    )
+def _twist_presentation(params: FamilyParams) -> Presentation:
+    """The Gkmn or Gkm presentation, one generator per edge.
 
-
-def _gkm_presentation(k: int, m: int) -> Presentation:
-    """The Gkmn presentation with n = 1 and the d, e, f components deleted.
-
-    Deleting the strut labeled 1 makes d act trivially and folds e onto a
-    and f onto b, leaving the two left-vertex relations on a, b, c.
+    Gkm is Gkmn with n = 1 and the d, e, f components deleted: deleting
+    the strut labeled 1 makes d act trivially and folds e onto a and f
+    onto b, leaving the two left-vertex relations on a, b, c.
     """
+    family, k, m, n = params.family, params.k, params.m, params.n
+    if family == "Gkmn":
+        if k is None or m is None or n is None:
+            raise ValueError("Gkmn requires --k, --m and --n")
+        names, shape, labels = GENERATOR_ORDER, "(2,2,m,n,2,2)", (2, 2, m, n, 2, 2)
+        words = ["d e a", "b d f", f"c (a b)^{k} a e", f"f c (a b)^{k - 1} a"]
+    else:
+        if k is None or m is None:
+            raise ValueError("Gkm requires --k and --m")
+        names, shape, labels = "abc", "(2,2,m)", (2, 2, m)
+        words = [f"c (a b)^{k}", f"b c (a b)^{k - 1} a"]
     if k == 0:
-        raise ValueError("Gkm requires a nonzero twist count k")
-    if m < 1:
-        raise ValueError("Gkm requires a strut label m >= 1")
-    gens = [GeneratorSymbol(i, name) for i, name in enumerate("abc")]
+        raise ValueError(f"{family} requires a nonzero twist count k")
+    if params.labels is not None and tuple(params.labels) != labels:
+        raise ValueError(f"{family} labels are fixed to {shape} = {labels}")
+    gens = [GeneratorSymbol(i, name) for i, name in enumerate(names)]
     symbols = {g.name: g for g in gens}
-    universals = [
-        UniversalRelation(parse_word(f"c (a b)^{k}", symbols)),
-        UniversalRelation(parse_word(f"b c (a b)^{k - 1} a", symbols)),
-    ]
+    universals = [UniversalRelation(w) for w in (parse_word(t, symbols) for t in words) if w]
     return Presentation(
-        gens,
-        {g: i + 1 for i, g in enumerate(gens)},
-        EdgeLabeling((2, 2, m)),
-        primaries=(),
-        universals=universals,
+        gens, {g: i + 1 for i, g in enumerate(gens)}, EdgeLabeling(labels), universals=universals
     )
 
 
@@ -168,31 +146,13 @@ def family_presentation(params: FamilyParams) -> Presentation:
     family = params.family
     if family not in FAMILY_NAMES:
         raise ValueError(f"unknown family {family!r}; choose one of {', '.join(FAMILY_NAMES)}")
-    if family == "Gkmn":
-        if params.k is None or params.m is None or params.n is None:
-            raise ValueError("Gkmn requires --k, --m and --n")
-        pres = _gkmn_presentation(params.k, params.m, params.n)
-        if params.labels is not None and tuple(params.labels) != pres.labels:
-            raise ValueError(f"Gkmn labels are fixed to (2,2,m,n,2,2) = {pres.labels}")
-        return pres
-    if family == "Gkm":
-        if params.k is None or params.m is None:
-            raise ValueError("Gkm requires --k and --m")
-        pres = _gkm_presentation(params.k, params.m)
-        if params.labels is not None and tuple(params.labels) != pres.labels:
-            raise ValueError(f"Gkm labels are fixed to (2,2,m) = {pres.labels}")
-        return pres
+    if family in ("Gkmn", "Gkm"):
+        return _twist_presentation(params)
     try:
         pres = parse_presentation(load_family_text(family))
     except ParseError as exc:
         raise ValueError(f"shipped presentation for {family} failed to parse: {exc}") from exc
-    if params.labels is not None:
-        if len(params.labels) != len(pres.labels):
-            raise ValueError(
-                f"{family} has {len(pres.labels)} edges; got {len(params.labels)} labels"
-            )
-        pres = pres.with_labels(params.labels)
-    return pres
+    return pres if params.labels is None else pres.with_labels(params.labels)
 
 
 @dataclass

@@ -22,7 +22,9 @@ Text format (line oriented, ``#`` starts a comment)::
     rel a : b b' = c            # primary, a^(b b') = c
     rel * : a b c               # universal, x^(a b c) = x
 
-Word syntax is the shared one from :mod:`quandleforge.words`.
+Every edge 1..k of the labeling must carry at least one generator.  The
+word syntax, the line reader and the label list are the shared ones from
+:mod:`quandleforge.words`.
 """
 
 from __future__ import annotations
@@ -35,8 +37,10 @@ from .words import (
     Letter,
     ParseError,
     invert,
+    parse_labels,
     parse_word,
     power_word,
+    read_key_lines,
 )
 
 
@@ -117,6 +121,10 @@ class Presentation:
                 raise ValueError(f"generator {gen.name!r} has no edge assignment")
             if not 1 <= edge <= len(self.labeling):
                 raise ValueError(f"generator {gen.name!r} mapped to edge {edge}, but only {len(self.labeling)} labels given")
+        used_edges = {self.edge_of[gen] for gen in self.generators}
+        for edge in range(1, len(self.labeling) + 1):
+            if edge not in used_edges:
+                raise ValueError(f"edge {edge} has no generator")
         for rel in self.primaries:
             if rel.lhs_base not in known or rel.rhs not in known:
                 raise ValueError(f"primary relation {rel} uses unknown generator")
@@ -131,12 +139,6 @@ class Presentation:
     @property
     def labels(self) -> tuple[int, ...]:
         return self.labeling.labels
-
-    def generator(self, name: str) -> GeneratorSymbol:
-        for gen in self.generators:
-            if gen.name == name:
-                return gen
-        raise KeyError(name)
 
     def label_of(self, gen: GeneratorSymbol) -> int:
         return self.labeling.of_edge(self.edge_of[gen])
@@ -218,17 +220,7 @@ def parse_presentation(text: str) -> Presentation:
     universals: list[UniversalRelation] = []
     seen_keys: set[str] = set()
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key, sep, rest = line.partition(":")
-        if not sep:
-            raise ParseError(f"expected 'key: value', got {line!r}", lineno, 1)
-        key = key.strip()
-        rest = rest.strip()
-        col0 = raw.index(":") + 1
-
+    for lineno, key, rest, col0 in read_key_lines(text):
         if key == "gens":
             if "gens" in seen_keys:
                 raise ParseError("duplicate 'gens:' line", lineno, 1)
@@ -252,13 +244,7 @@ def parse_presentation(text: str) -> Presentation:
                     raise ParseError(f"bad edge index in {item!r}", lineno, col0 + 1) from None
                 edge_of[symbols[name]] = edge
         elif key == "labels":
-            try:
-                labels = tuple(int(tok) for tok in rest.split())
-            except ValueError:
-                raise ParseError(f"bad label list {rest!r}", lineno, col0 + 1) from None
-            for n in labels:
-                if n < 1:
-                    raise ParseError(f"edge label must be >= 1, got {n}", lineno, col0 + 1)
+            labels = parse_labels(rest, lineno, col0 + 1)
         elif key.startswith("rel"):
             head = key[3:].strip()
             if head == "*":
@@ -300,7 +286,8 @@ def render_presentation(pres: Presentation) -> str:
         "labels: " + " ".join(str(n) for n in pres.labels),
     ]
     for rel in pres.primaries:
-        lines.append(f"rel {rel.lhs_base.name} : {rel.word} = {rel.rhs.name}")
+        # an empty word renders as nothing, not as GroupWord's "1"
+        lines.append(" ".join(["rel", rel.lhs_base.name, ":", *map(str, rel.word), "=", rel.rhs.name]))
     for rel in pres.universals:
         lines.append(f"rel * : {rel.word}")
     return "\n".join(lines) + "\n"

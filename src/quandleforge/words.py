@@ -10,6 +10,8 @@ The text syntax accepted by :func:`parse_word` is shared by every parser
 in the package: generators are identifiers, a trailing apostrophe inverts,
 juxtaposition concatenates, and parenthesized groups may carry integer
 exponents, e.g. ``(ab)^3``, ``c^2``, ``(ab)^-1``.  Whitespace is ignored.
+The file formats also share their line reader (:func:`read_key_lines`)
+and their edge-label list (:func:`parse_labels`).
 """
 
 from __future__ import annotations
@@ -28,6 +30,36 @@ class ParseError(ValueError):
         super().__init__(f"line {line}, col {col}: {message}")
         self.line = line
         self.col = col
+
+
+def read_key_lines(text: str) -> Iterator[tuple[int, str, str, int]]:
+    """The ``key: value`` lines of a line-oriented file format.
+
+    ``#`` starts a comment and blank lines are skipped; any other line
+    without a colon is an error.  Yields (line number, key, value, col0)
+    with key and value stripped; col0 is the 0-based column just past the
+    colon, so word parsers can report real positions.
+    """
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        key, sep, value = line.partition(":")
+        if not sep:
+            raise ParseError(f"expected 'key: value', got {line!r}", lineno, 1)
+        yield lineno, key.strip(), value.strip(), raw.index(":") + 1
+
+
+def parse_labels(text: str, line: int = 1, col: int = 1) -> tuple[int, ...]:
+    """A whitespace-separated list of edge labels n_1 n_2 ..., each >= 1."""
+    try:
+        labels = tuple(int(tok) for tok in text.split())
+    except ValueError:
+        raise ParseError(f"bad label list {text!r}", line, col) from None
+    for n in labels:
+        if n < 1:
+            raise ParseError(f"edge label must be >= 1, got {n}", line, col)
+    return labels
 
 
 @dataclass(frozen=True, order=True)

@@ -136,7 +136,7 @@ def test_criterion_5_axiom_suite():
             family_presentation(FamilyParams(row["family"], labels=tuple(row["labels"])))
         )
         res = enumerate_quandle(pres, LIMITS)
-        violations = verify(res.graph, pres, full_axiom_limit=400)
+        violations = verify(res.graph, pres)
         checked += 1
         if violations:
             bad.append((row["family"], tuple(row["labels"]), violations[:3]))

@@ -15,7 +15,7 @@ from quandleforge import (
 )
 from quandleforge.cli import DOT_COLORS, export_dot, export_json, format_table, run
 from quandleforge.engine import CayleyGraph, canonical_code_of_actions
-from quandleforge.families import load_diagram_text
+from quandleforge.families import _read_data_text, load_diagram_text
 
 
 def invoke(capsys, *argv):
@@ -153,6 +153,19 @@ def test_input_errors_exit_one(capsys, tmp_path):
     code, _, err = invoke(capsys, "enumerate", "--input", str(bad))
     assert code == 1
     assert "error:" in err
+
+
+@pytest.mark.parametrize("name", ["presentations/theta3.txt", "diagrams/theta3.txt"])
+def test_input_labels_need_one_label_per_edge(capsys, tmp_path, name):
+    path = tmp_path / "theta.txt"
+    path.write_text(_read_data_text(name))
+    code, _, _ = invoke(capsys, "enumerate", "--input", str(path), "--labels", "3 3 2")
+    assert code == 0
+    code, out, err = invoke(capsys, "enumerate", "--input", str(path), "--labels", "3,3,2,7",
+                            "--format", "json")
+    assert code == 1
+    assert out == ""
+    assert err == "error: edge 4 has no generator\n"
 
 
 def test_env_var_limit_override(capsys, monkeypatch):

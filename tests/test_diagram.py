@@ -88,6 +88,11 @@ def test_parse_rejects_bad_label():
         parse_diagram("arcs: 1\nedge: 1:1\nlabels: 0\n")
 
 
+def test_parse_rejects_comma_labels():
+    with pytest.raises(ParseError, match="bad label list '3,3,2'"):
+        parse_diagram("arcs: 3\nedge: 1:1 2:2 3:3\nlabels: 3,3,2\nvertex: 1+ 2+ 3+\nvertex: 2- 1- 3-\n")
+
+
 def test_wirtinger_unknot():
     pres = wirtinger(parse_diagram(UNKNOT))
     assert len(pres.generators) == 1

@@ -142,7 +142,7 @@ def _fresh_graph(cls=CayleyGraph):
 
 def test_trace_existing_loop_is_noop():
     pres, graph = _fresh_graph()
-    a = pres.generator("a")
+    a = pres.generators[0]
     va = graph.basepoint[a.id]
     pending = graph.trace(va, graph.letters(parse_word("a", {"a": a})), va)
     assert pending == []
@@ -251,7 +251,7 @@ def test_collapse_merges_disjoint_edges():
 
 def test_collapse_cascades():
     pres, graph = _fresh_graph()
-    a = pres.generator("a").id
+    a = pres.generators[0].id
     vs = [graph.add_vertex() for _ in range(6)]
     for i in range(2, 6):
         graph.fwd[a][vs[i - 2]] = vs[i]
@@ -336,7 +336,7 @@ def test_verify_reports_fault_injection():
     pres = theta()
     graph = run_graph(pres, EnumerationLimits(100000, 10**9))
     # corrupt one edge: swap two targets of generator a
-    a = pres.generator("a").id
+    a = pres.generators[0].id
     live = [v for v in range(graph.size) if graph.parent[v] == v]
     v1, v2 = live[1], live[3]
     t1, t2 = graph.fwd[a][v1], graph.fwd[a][v2]
@@ -431,6 +431,13 @@ def test_vacuous_universal_dropped_and_empty_primary_merges():
     # a = b identifies the two basepoints immediately
     assert res.graph.basepoint[0] == res.graph.basepoint[1]
     assert res.stats.live == 1
+
+
+def test_unexpanded_presentation_names_expand_relations():
+    # no power relations for b and c, so their actions stay partial
+    pres = parse_presentation("gens: a b c\nedges: a:1 b:2 c:3\nlabels: 2 2 2\nrel * : a a\n")
+    with pytest.raises(ValueError, match="expand_relations"):
+        enumerate_quandle(pres, EnumerationLimits(1000, 10**6))
 
 
 def test_limits_reject_vertex_ids_beyond_int32():

@@ -100,6 +100,34 @@ def test_checksum_guard(monkeypatch):
         fam.load_family_text("theta3")
 
 
+def test_table1_checksum_guard(monkeypatch):
+    import quandleforge.families as fam
+
+    real = fam._read_data_text
+
+    def tampered(name):
+        text = real(name)
+        return text.replace('"expected": 14', '"expected": 15') if name == "table1.json" else text
+
+    assert real("table1.json") != tampered("table1.json")
+    monkeypatch.setattr(fam, "_read_data_text", tampered)
+    with pytest.raises(ValueError, match="checksum"):
+        fam.table1_rows()
+
+
+@pytest.mark.parametrize("params, fixed", [
+    (FamilyParams("Gkmn", k=-2, m=3, n=4), (2, 2, 3, 4, 2, 2)),
+    (FamilyParams("Gkm", k=2, m=3), (2, 2, 3)),
+])
+def test_twist_family_labels_are_fixed(params, fixed):
+    assert family_presentation(params).labels == fixed
+    same = FamilyParams(params.family, params.k, params.m, params.n, labels=fixed)
+    assert family_presentation(same).labels == fixed
+    other = FamilyParams(params.family, params.k, params.m, params.n, labels=fixed[:2] + (5,) + fixed[3:])
+    with pytest.raises(ValueError, match=f"{params.family} labels are fixed to"):
+        family_presentation(other)
+
+
 def test_checksums_cover_all_data_files():
     import quandleforge.families as fam
 

@@ -16,8 +16,10 @@ from quandleforge import (
     parse_presentation,
     parse_word,
     power_relations,
+    render_presentation,
     secondary_of,
 )
+from quandleforge.families import _DATA_FILES, load_family_text
 
 
 def test_parse_basic():
@@ -60,12 +62,30 @@ def test_parse_primary_relation():
         ("gens: a\nedges: a:3\nlabels: 1\n", "labels"),
         ("gens: a\nlabels: 1\nbogus: x\nedges: a:1\n", "unknown key"),
         ("gens: a\nedges: a:1\nlabels: 1\nrel a : a\n", "="),
+        ("gens: a b c\nedges: a:1 b:2 c:3\nlabels: 3 3 2 7\n", "edge 4 has no generator"),
     ],
 )
 def test_parse_errors(text, message):
     with pytest.raises(ParseError) as err:
         parse_presentation(text)
     assert message in str(err.value)
+
+
+def _fields(pres):
+    return (pres.generators, pres.edge_of, pres.labels, pres.primaries, pres.universals)
+
+
+@pytest.mark.parametrize("text", [
+    *(pytest.param(load_family_text(family), id=family) for family in _DATA_FILES),
+    pytest.param("gens: a b\nedges: a:1 b:2\nlabels: 2 3\nrel a : = b\nrel b : a' = a\n",
+                 id="empty-primary-word"),
+])
+def test_render_round_trip(text):
+    pres = parse_presentation(text)
+    rendered = render_presentation(pres)
+    again = parse_presentation(rendered)
+    assert _fields(again) == _fields(pres)
+    assert render_presentation(again) == rendered
 
 
 def _simple(labels=(2, 2)):

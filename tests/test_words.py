@@ -20,6 +20,7 @@ from quandleforge import (
     power_word,
     quandle_table,
 )
+from quandleforge.words import parse_labels, read_key_lines
 
 A, B, C, D = (GeneratorSymbol(i, n) for i, n in enumerate("abcd"))
 SYMS = {"a": A, "b": B, "c": C, "d": D}
@@ -155,3 +156,18 @@ def test_parse_word_syntax():
 def test_parse_word_errors(bad):
     with pytest.raises(ParseError):
         parse_word(bad, SYMS)
+
+
+def test_read_key_lines():
+    text = "# header\n\n gens : a b  # trailing\nrel * : a\n"
+    assert list(read_key_lines(text)) == [(3, "gens", "a b", 7), (4, "rel *", "a", 7)]
+    with pytest.raises(ParseError, match="line 2, col 1: expected 'key: value'"):
+        list(read_key_lines("gens: a\nnonsense\n"))
+
+
+def test_parse_labels():
+    assert parse_labels(" 3 3\t2 ") == (3, 3, 2)
+    with pytest.raises(ParseError, match="bad label list '3,3'"):
+        parse_labels("3,3")
+    with pytest.raises(ParseError, match="line 4, col 9: edge label must be >= 1, got 0"):
+        parse_labels("2 0", 4, 9)
