@@ -135,7 +135,7 @@ def _twist_presentation(params: FamilyParams) -> Presentation:
         raise ValueError(f"{family} labels are fixed to {shape} = {labels}")
     gens = [GeneratorSymbol(i, name) for i, name in enumerate(names)]
     symbols = {g.name: g for g in gens}
-    universals = [UniversalRelation(w) for w in (parse_word(t, symbols) for t in words) if w]
+    universals = [UniversalRelation(parse_word(text, symbols)) for text in words]
     return Presentation(
         gens, {g: i + 1 for i, g in enumerate(gens)}, EdgeLabeling(labels), universals=universals
     )
