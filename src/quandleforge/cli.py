@@ -30,6 +30,7 @@ from .engine import (
     components,
     enumerate_quandle,
     quandle_table,
+    table_check,
     verify,
 )
 from .families import (
@@ -198,7 +199,7 @@ def cmd_verify(args) -> int:
     for violation in violations:
         print(violation)
     print(f"verify: {'ok' if not violations else f'{len(violations)} violations'} "
-          f"(size {result.stats.live})")
+          f"(size {result.stats.live}; table: {table_check(result.stats.live)})")
     return 0 if not violations else 1
 
 

@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .presentation import EdgeLabeling, Presentation, PrimaryRelation, UniversalRelation
-from .words import GeneratorSymbol, GroupWord, Letter, ParseError, parse_labels, read_key_lines
+from .words import FieldError, GeneratorSymbol, GroupWord, Letter, ParseError, parse_labels, read_key_lines
 
 
 @dataclass(frozen=True)
@@ -89,53 +89,56 @@ class DiagramSpec:
             self.crossings, self.vertices,
         )
 
-    def _check_arc(self, arc: int, where: str):
+    def _check_arc(self, arc: int, where: str, key: str, index: int = -1):
         if not 1 <= arc <= self.arc_count:
-            raise ParseError(f"dangling arc {arc} in {where}")
+            raise FieldError(f"dangling arc {arc} in {where}", key, index)
 
     def _validate(self):
+        """Raise :class:`FieldError` naming the field (``arcs``, ``edge``,
+        ``labels``, the i-th ``xing`` or ``vertex``) that holds the first
+        fault found."""
         if self.arc_count < 0:
-            raise ParseError("arc count must be >= 0")
+            raise FieldError("arc count must be >= 0", "arcs")
         k = len(self.labeling)
         for arc in range(1, self.arc_count + 1):
             edge = self.arc_edge.get(arc)
             if edge is None:
-                raise ParseError(f"arc {arc} missing from the edge map")
+                raise FieldError(f"arc {arc} missing from the edge map", "edge")
             if not 1 <= edge <= k:
-                raise ParseError(f"arc {arc} assigned to edge {edge}, but only {k} labels given")
+                raise FieldError(f"arc {arc} assigned to edge {edge}, but only {k} labels given", "edge")
         for arc in self.arc_edge:
-            self._check_arc(arc, "edge map")
+            self._check_arc(arc, "edge map", "edge")
         used_edges = set(self.arc_edge.values())
         for edge in range(1, k + 1):
             if edge not in used_edges:
-                raise ParseError(f"edge {edge} has no arcs")
+                raise FieldError(f"edge {edge} has no arcs", "labels")
         head_used = [0] * (self.arc_count + 1)
         tail_used = [0] * (self.arc_count + 1)
-        for x in self.crossings:
+
+        def use(ends, arc, key, index):
+            ends[arc] += 1
+            if ends[arc] > 1:
+                raise FieldError(f"dangling arc {arc}: an end is used more than once", key, index)
+
+        for i, x in enumerate(self.crossings):
             if x.sign not in (1, -1):
-                raise ParseError(f"crossing sign must be +1 or -1, got {x.sign}")
+                raise FieldError(f"crossing sign must be +1 or -1, got {x.sign}", "xing", i)
             for arc in (x.over, x.under_in, x.under_out):
-                self._check_arc(arc, "crossing")
+                self._check_arc(arc, "crossing", "xing", i)
             if self.arc_edge[x.under_in] != self.arc_edge[x.under_out]:
-                raise ParseError(
-                    f"under arcs {x.under_in} and {x.under_out} lie on different edges"
+                raise FieldError(
+                    f"under arcs {x.under_in} and {x.under_out} lie on different edges", "xing", i
                 )
-            tail_used[x.under_in] += 1
-            head_used[x.under_out] += 1
-        for incidences in self.vertices:
+            use(tail_used, x.under_in, "xing", i)
+            use(head_used, x.under_out, "xing", i)
+        for i, incidences in enumerate(self.vertices):
             if not incidences:
-                raise ParseError("vertex with no incident arcs")
+                raise FieldError("vertex with no incident arcs", "vertex", i)
             for arc, direction in incidences:
-                self._check_arc(arc, "vertex")
+                self._check_arc(arc, "vertex", "vertex", i)
                 if direction not in (1, -1):
-                    raise ParseError(f"vertex direction must be +1 or -1, got {direction}")
-                if direction > 0:
-                    tail_used[arc] += 1
-                else:
-                    head_used[arc] += 1
-        for arc in range(1, self.arc_count + 1):
-            if head_used[arc] > 1 or tail_used[arc] > 1:
-                raise ParseError(f"dangling arc {arc}: an end is used more than once")
+                    raise FieldError(f"vertex direction must be +1 or -1, got {direction}", "vertex", i)
+                use(tail_used if direction > 0 else head_used, arc, "vertex", i)
 
     def __repr__(self) -> str:
         return (
@@ -151,8 +154,10 @@ def parse_diagram(text: str) -> DiagramSpec:
     labels = None
     crossings: list[Crossing] = []
     vertices: list[tuple[tuple[int, int], ...]] = []
+    lines: dict[str, list[int]] = {}  # the lines of each key, crossings under "xing"
 
     for lineno, key, rest, _ in read_key_lines(text):
+        lines.setdefault("xing" if key.startswith("xing") else key, []).append(lineno)
         if key == "arcs":
             try:
                 arc_count = int(rest)
@@ -210,7 +215,12 @@ def parse_diagram(text: str) -> DiagramSpec:
         raise ParseError("missing 'arcs:' line")
     if labels is None:
         raise ParseError("missing 'labels:' line")
-    return DiagramSpec(arc_count, arc_edge, EdgeLabeling(labels), crossings, vertices)
+    try:
+        return DiagramSpec(arc_count, arc_edge, EdgeLabeling(labels), crossings, vertices)
+    except FieldError as exc:
+        # with no edge line at all, a missing arc is blamed on the arcs line
+        line = lines.get(exc.key, lines["arcs"])[exc.index]
+        raise ParseError(str(exc), line, 1) from None
 
 
 def wirtinger(spec: DiagramSpec) -> Presentation:

@@ -478,37 +478,87 @@ def components(quandle: Quandle):
     return orbits, edge_sizes
 
 
-def _symmetry_rows(quandle: Quandle) -> np.ndarray:
-    """Row x holds the point symmetry of element x, as a permutation.
+def _schreier_tree(quandle: Quandle) -> tuple[np.ndarray, np.ndarray]:
+    """The breadth-first spanning forest of the action graph, from the basepoints.
 
-    Element x reached as basepoint(b) acted by w has the point symmetry
-    conjugate to that of b; rows are filled along a breadth-first search
-    seeded at the basepoints in generator order.  The n x n array is
-    allocated before any row is filled.
+    The roots are the basepoints in generator order; from each element in
+    turn, every generator's forward and then backward image is reached.
+    Returns ``(parent, move)``: for each element x its tree parent p (-1 at
+    a root) and the move from p, ``2 g`` where x is p acted by g and
+    ``2 g + 1`` where it is p acted by g^(-1); at a root, the first
+    generator whose basepoint x is.  The search runs one level at a time:
+    the new elements of a level are the unreached images of the level
+    before, in the order of their first appearance.
     """
     n = quandle.actions.shape[1]
-    rows = np.empty((n, n), dtype=np.int64)
-    filled = [False] * n
-    queue: list[int] = []
-    for g, b in enumerate(quandle.basepoint.tolist()):
-        if not filled[b]:
-            rows[b] = quandle.actions[g]
-            filled[b] = True
-            queue.append(b)
-    steps = [
-        (fwd, bwd, fwd.tolist(), bwd.tolist())
-        for fwd, bwd in zip(quandle.actions, quandle.inverses)
-    ]
-    for p in queue:  # the queue grows while it is read
-        for fwd, bwd, fwd_list, bwd_list in steps:
-            # S_(p acted by g) = A_g o S_p o A_g^(-1), and likewise for g^(-1)
-            for child, outer, inner in ((fwd_list[p], fwd, bwd), (bwd_list[p], bwd, fwd)):
-                if not filled[child]:
-                    np.take(outer, rows[p][inner], out=rows[child])
-                    filled[child] = True
-                    queue.append(child)
-    if not all(filled):
+    moves = np.stack([quandle.actions, quandle.inverses], axis=1).reshape(-1, n)
+    parent = np.full(n, -2)  # -2: not reached yet
+    move = np.zeros(n, dtype=np.int64)
+    bases, first = np.unique(quandle.basepoint, return_index=True)
+    level = bases[np.argsort(first)]
+    parent[level], move[level] = -1, np.sort(first)
+    while level.size:
+        images = moves[:, level].T.ravel()  # parent-major, move-minor
+        _, at = np.unique(images, return_index=True)
+        at = np.sort(at[parent[images[at]] == -2])
+        parent[images[at]], move[images[at]] = level[at // len(moves)], at % len(moves)
+        level = images[at]
+    if (parent == -2).any():
         raise ValueError("graph has elements unreachable from every basepoint")
+    return parent, move
+
+
+def _symmetry_rows(quandle: Quandle, targets: np.ndarray) -> np.ndarray:
+    """Row i holds the point symmetry of element ``targets[i]``, as a
+    permutation in the narrowest unsigned dtype that holds n - 1.
+
+    Element x reached from p by g has the point symmetry
+    S_x = A_g o S_p o A_g^(-1) (likewise for g^(-1)), and a root has its
+    generator's action, so each row is built from its parent's along
+    :func:`_schreier_tree`.  Only the tree paths to the targets are built,
+    each element once and depth first; a row that is not a target is
+    dropped when its last child is built, so besides the result at most
+    one row per tree level is held.  The result is allocated before any
+    row is built.
+    """
+    parent, move = (a.tolist() for a in _schreier_tree(quandle))
+    n = quandle.actions.shape[1]
+    dtype = np.min_scalar_type(n - 1)
+    # S_x(y) = values[S_p(index[y])] for each move from p to x
+    steps = [
+        (values.astype(dtype), index)
+        for fwd, bwd in zip(quandle.actions, quandle.inverses)
+        for values, index in ((fwd, bwd), (bwd, fwd))
+    ]
+    rows = np.empty((len(targets), n), dtype=dtype)
+    slot = {x: i for i, x in enumerate(targets.tolist())}
+    children: dict[int, list[int]] = {}  # the targets and their ancestors
+    for x in slot:
+        while x >= 0 and x not in children:
+            children[x] = []
+            x = parent[x]
+    roots = []
+    for x in children:
+        (roots if parent[x] < 0 else children[parent[x]]).append(x)
+    held: dict[int, np.ndarray] = {}
+    stack = roots
+    while stack:
+        x = stack.pop()
+        i = slot.get(x)
+        row = np.empty(n, dtype=dtype) if i is None else rows[i]
+        p = parent[x]
+        if p < 0:
+            row[:] = quandle.actions[move[x]]
+        else:
+            values, index = steps[move[x]]
+            # the indices are row entries, so in range; unlike the default
+            # "raise", "clip" writes to out without a buffered copy
+            values.take(held[p][index], out=row, mode="clip")
+            if x == children[p][0]:  # the last child of p to be built
+                del held[p]
+        if children[x]:
+            held[x] = row
+            stack += children[x]
     return rows
 
 
@@ -516,45 +566,69 @@ def quandle_table(quandle: Quandle) -> np.ndarray:
     """The full binary operation table T[y][x] = y acted on by x.
 
     Rows and columns are indexed by dense element index (live vertices in
-    creation order).  The column of element x is its point symmetry; the
-    result is the transposed view of an array holding those symmetries as
-    contiguous rows.
+    creation order), in the narrowest unsigned dtype that holds n - 1.
+    The column of element x is its point symmetry; the result is the
+    transposed view of an array holding those symmetries as contiguous
+    rows.
     """
-    return _symmetry_rows(quandle).T
+    return _symmetry_rows(quandle, np.arange(quandle.actions.shape[1])).T
 
 
-# Entries per row block in the n x n table checks; this bounds each
-# temporary they make, whatever n is.
-_BLOCK_ENTRIES = 1 << 20
+# Entries per row block in the table checks; this bounds each temporary
+# they make, whatever n is.
+_BLOCK_ENTRIES = 1 << 16
+# verify builds the whole n x n table only while it takes at most this many
+# bytes: up to 5792 elements in uint16.  Above, it cross-checks the point
+# symmetries of _SAMPLE_SIZE seeded elements instead.
+_TABLE_BUDGET = 64 << 20
+_SAMPLE_SIZE = 64
 # Up to this many elements, verify also checks the axioms on all pairs and
 # triples of the operation table directly.
 _FULL_AXIOM_LIMIT = 400
 
 
-def _row_blocks(n: int):
-    step = max(1, _BLOCK_ENTRIES // n)
-    for start in range(0, n, step):
-        yield slice(start, min(start + step, n))
+def _table_fits(n: int) -> bool:
+    return n * n * np.min_scalar_type(n - 1).itemsize <= _TABLE_BUDGET
+
+
+def table_check(n: int) -> str:
+    """Which operation-table check :func:`verify` runs on n elements:
+    ``full, all triples``, ``full`` or ``sampled at k elements``."""
+    if not _table_fits(n):
+        return f"sampled at {min(n, _SAMPLE_SIZE)} elements"
+    return "full, all triples" if n <= _FULL_AXIOM_LIMIT else "full"
+
+
+def _row_blocks(count: int, length: int):
+    step = max(1, _BLOCK_ENTRIES // length)
+    for start in range(0, count, step):
+        yield slice(start, min(start + step, count))
 
 
 def _rows_are_permutations(rows: np.ndarray) -> bool:
-    """Whether every row of a square array is a permutation of 0..n-1."""
-    identity = np.arange(rows.shape[1])
-    return all(
-        (np.sort(rows[block], axis=1) == identity).all() for block in _row_blocks(len(rows))
-    )
+    """Whether every row of a k x n array is a permutation of 0..n-1: each
+    row block marks the values every row holds, and all must be marked."""
+    count, n = rows.shape
+    for block in _row_blocks(count, n):
+        part = rows[block]
+        seen = np.zeros(part.size, dtype=bool)
+        seen[part + np.arange(0, part.size, n)[:, None]] = True
+        if not seen.all():
+            return False
+    return True
 
 
-def _preserves_table(rows: np.ndarray, u: np.ndarray) -> bool:
-    """Whether the permutation ``u`` is an automorphism of the operation
-    whose point symmetries are ``rows``: u(S_x(y)) = S_u(x)(u(y)) for all x, y."""
-    for block in _row_blocks(len(rows)):
-        image = rows[u[block]]
-        # row by row: numpy gathers within a 1-D row several times faster
-        # than along the last axis of a 2-D block
-        for row in image:
-            row[:] = row[u]
-        if not np.array_equal(np.take(u, rows[block]), image):
+def _preserves_table(rows: np.ndarray, row_of: np.ndarray, u: np.ndarray, xs: np.ndarray) -> bool:
+    """Whether the permutation ``u`` respects the operation at the elements
+    ``xs``: u(S_x(y)) = S_u(x)(u(y)) for every x in xs and every y, where
+    S_x is row ``row_of[x]`` of ``rows``.  Over all x this says u is an
+    automorphism of the operation."""
+    index = u.astype(np.intp, copy=False)
+    values = u.astype(rows.dtype, copy=False)
+    for block in _row_blocks(len(xs), rows.shape[1]):
+        x = xs[block]
+        image = np.take(np.take(rows, row_of[index[x]], axis=0), index, axis=1)
+        if not np.array_equal(np.take(values, np.take(rows, row_of[x], axis=0)), image):
             return False
     return True
 
@@ -562,19 +636,38 @@ def _preserves_table(rows: np.ndarray, u: np.ndarray) -> bool:
 def verify(quandle: Quandle, pres: Presentation) -> list[str]:
     """Check a finished quandle against the quandle axioms and relations.
 
-    Always verified: actions are total mutually inverse bijections, the
-    three axioms (self-distributivity via the point symmetries of the
-    generators, which conjugate to those of all elements), every primary
-    relation path, every universal relation loop at every element, and
-    the order of the point symmetry of every element of each component.
-    Up to ``_FULL_AXIOM_LIMIT`` (400) elements, the axioms are additionally
-    checked on all pairs/triples of the operation table directly.
+    Always verified, in O(g n) memory for g generators: actions are total
+    mutually inverse bijections, A1 at the basepoints, every primary
+    relation path, every universal relation loop at every element, and the
+    order of every generator's point symmetry.  These are the closure
+    conditions of Winker's method.
+
+    The operation table then cross-checks them; :func:`table_check` names
+    how.  Its column x is the point symmetry S_x, built along one Schreier
+    tree from the basepoints (see :func:`_symmetry_rows`) in the narrowest
+    unsigned dtype that holds n - 1.  A3 for all triples reduces to every
+    generator's point symmetry A_g being an automorphism, since every
+    element's symmetry is a conjugate of these; at element z that is the
+    conjugation consistency S_(A_g z) = A_g S_z A_g^(-1).
+
+    - While the n x n table takes at most ``_TABLE_BUDGET`` bytes (64 MiB:
+      up to 5792 elements in uint16), it is built whole and checked at
+      every element, in row blocks of ``_BLOCK_ENTRIES`` (2^16) entries:
+      the generator columns, A1 on the diagonal, A2 (every column a
+      bijection) and A3 under every generator.  Up to
+      ``_FULL_AXIOM_LIMIT`` (400) elements, A3 is also checked on all
+      triples, and every element's point symmetry against the label of
+      its component.
+    - Above the budget, the same checks run at ``_SAMPLE_SIZE`` (64)
+      elements z drawn with a fixed seed: only the symmetries of z, of
+      every A_g z and of the basepoints are built.
+
     Returns a list of violations; empty means verified.
 
-    Memory: the axiom checks hold one n x n int64 operation table, 8 n^2
-    bytes (71 MB at 2976 elements, 2.16 GiB at 17040), and check it in
-    row blocks of about 2^20 entries; everything else is O(g n) for g
-    generators.  A table that cannot be allocated raises MemoryError.
+    Memory: the whole table takes n^2 bytes of its dtype (2 n^2 in uint16,
+    18 MB at 2976 elements) and its checks add a few int64 row blocks.  The
+    sampled check holds one row per symmetry it built and at most one more
+    per tree level: about 20 MB in all at 17040 elements.
     """
     violations: list[str] = []
     actions, inverses = quandle.actions, quandle.inverses
@@ -625,26 +718,34 @@ def verify(quandle: Quandle, pres: Presentation) -> list[str]:
                 f"point symmetry of {gen.name} does not have order dividing {pres.label_of(gen)}"
             )
 
-    rows = _symmetry_rows(quandle)  # rows[x] is column x of the table
+    full = _table_fits(n)
+    if full:
+        sample = identity
+    else:  # a fixed seed: the same elements on every run
+        sample = np.sort(np.random.default_rng(0).choice(n, min(n, _SAMPLE_SIZE), replace=False))
+    targets = np.unique(np.concatenate([sample, actions[:, sample].ravel(), bases]))
+    rows = _symmetry_rows(quandle, targets)  # row_of[x]: the row of S_x, column x of the table
+    row_of = np.full(n, -1)
+    row_of[targets] = np.arange(len(targets))
     for g, gen in enumerate(gens):
-        if not np.array_equal(rows[bases[g]], actions[g]):
+        if not np.array_equal(rows[row_of[bases[g]]], actions[g]):
             violations.append(f"table column of {gen.name} differs from its stored action")
 
-    if not np.array_equal(np.diagonal(rows), identity):
+    if not np.array_equal(rows[np.arange(len(targets)), targets], targets):
         violations.append("axiom A1 fails on the operation table")
     if not _rows_are_permutations(rows):
         violations.append("axiom A2 fails: some column is not a bijection")
 
-    # A3 for all triples reduces to every generator's point symmetry being
-    # a homomorphism: every element's symmetry is a conjugate of one of
-    # these, and conjugates/composites of automorphisms are automorphisms.
     for g, gen in enumerate(gens):
-        if not _preserves_table(rows, actions[g]):
+        if not _preserves_table(rows, row_of, actions[g], sample):
             violations.append(f"axiom A3 fails under the point symmetry of {gen.name}")
 
-    if n <= _FULL_AXIOM_LIMIT:
+    if full and n <= _FULL_AXIOM_LIMIT:
+        index = rows.astype(np.intp)  # at most 1.3 MB
         for z in range(n):
-            if not _preserves_table(rows, rows[z]):
+            u = index[z]
+            # u(S_x(y)) = S_u(x)(u(y)) for all x and y
+            if not np.array_equal(np.take(rows[z], index), np.take(rows[u], u, axis=1)):
                 violations.append(f"axiom A3 fails at element {z}")
                 break
         label_of_orbit = {}

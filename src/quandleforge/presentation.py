@@ -32,6 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .words import (
+    FieldError,
     GeneratorSymbol,
     GroupWord,
     Letter,
@@ -112,19 +113,22 @@ class Presentation:
             if gen.id != i:
                 raise ValueError(f"generator ids must be dense 0..g-1; {gen} has id {gen.id} at {i}")
             if gen.name in names:
-                raise ValueError(f"duplicate generator name {gen.name!r}")
+                raise FieldError(f"duplicate generator name {gen.name!r}", "gens")
             names.add(gen.name)
         known = set(self.generators)
         for gen in self.generators:
             edge = self.edge_of.get(gen)
             if edge is None:
-                raise ValueError(f"generator {gen.name!r} has no edge assignment")
+                raise FieldError(f"generator {gen.name!r} has no edge assignment", "edges")
             if not 1 <= edge <= len(self.labeling):
-                raise ValueError(f"generator {gen.name!r} mapped to edge {edge}, but only {len(self.labeling)} labels given")
+                raise FieldError(
+                    f"generator {gen.name!r} mapped to edge {edge}, but only {len(self.labeling)} labels given",
+                    "edges",
+                )
         used_edges = {self.edge_of[gen] for gen in self.generators}
         for edge in range(1, len(self.labeling) + 1):
             if edge not in used_edges:
-                raise ValueError(f"edge {edge} has no generator")
+                raise FieldError(f"edge {edge} has no generator", "labels")
         for rel in self.primaries:
             if rel.lhs_base not in known or rel.rhs not in known:
                 raise ValueError(f"primary relation {rel} uses unknown generator")
@@ -219,8 +223,10 @@ def parse_presentation(text: str) -> Presentation:
     primaries: list[PrimaryRelation] = []
     universals: list[UniversalRelation] = []
     seen_keys: set[str] = set()
+    line_of: dict[str, int] = {}  # the last line of each key
 
     for lineno, key, rest, col0 in read_key_lines(text):
+        line_of[key] = lineno
         if key == "gens":
             if "gens" in seen_keys:
                 raise ParseError("duplicate 'gens:' line", lineno, 1)
@@ -271,11 +277,12 @@ def parse_presentation(text: str) -> Presentation:
         raise ParseError("missing 'labels:' line", 1, 1)
     for gen in gens:
         if gen not in edge_of:
-            raise ParseError(f"generator {gen.name!r} missing from 'edges:' map", 1, 1)
+            line = line_of.get("edges", line_of["gens"])
+            raise ParseError(f"generator {gen.name!r} missing from 'edges:' map", line, 1)
     try:
         return Presentation(gens, edge_of, EdgeLabeling(labels), primaries, universals)
-    except ValueError as exc:
-        raise ParseError(str(exc), 1, 1) from None
+    except FieldError as exc:
+        raise ParseError(str(exc), line_of[exc.key], 1) from None
 
 
 def render_presentation(pres: Presentation) -> str:

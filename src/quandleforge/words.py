@@ -32,6 +32,21 @@ class ParseError(ValueError):
         self.col = col
 
 
+class FieldError(ValueError):
+    """A validation error that lies in one field of an input.
+
+    ``key`` names the field by its key in the file formats (``labels``,
+    ``edges``, ``xing``, ...) and ``index`` picks one line among the lines
+    of a repeated key (the last by default), so a parser can report the
+    line that holds the fault.
+    """
+
+    def __init__(self, message: str, key: str, index: int = -1):
+        super().__init__(message)
+        self.key = key
+        self.index = index
+
+
 def read_key_lines(text: str) -> Iterator[tuple[int, str, str, int]]:
     """The ``key: value`` lines of a line-oriented file format.
 

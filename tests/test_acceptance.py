@@ -6,6 +6,7 @@ PASS/FAIL line (run pytest with -s to see them).
 """
 
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -69,13 +70,25 @@ def test_criterion_1_size_table(row):
 )
 def test_criterion_1_size_table_slow(row):
     start = time.time()
-    res = enum(family_presentation(FamilyParams(row["family"], labels=tuple(row["labels"]))))
+    pres = expand_relations(family_presentation(FamilyParams(row["family"], labels=tuple(row["labels"]))))
+    res = enumerate_quandle(pres, LIMITS)
     got = res.stats.live if res.completed else None
     elapsed = time.time() - start
     report(
         f"1 [{row['family']} {tuple(row['labels'])}, slow]",
         got == row["expected"] and elapsed < 600,
         f"got {got}, expected {row['expected']} in {elapsed:.1f}s",
+    )
+    tracemalloc.start()
+    try:
+        violations = verify(res.graph, pres)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    report(
+        f"1 [{row['family']} {tuple(row['labels'])}, slow, verify]",
+        violations == [] and peak <= 48 * 10**6,
+        f"violations {violations[:3]}, tracemalloc peak {peak / 1e6:.1f} MB",
     )
 
 

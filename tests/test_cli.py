@@ -112,6 +112,22 @@ def test_verify_subcommand(capsys):
     assert "32" in out
 
 
+def test_verify_names_the_full_table_check(capsys):
+    code, out, _ = invoke(capsys, "verify", "--family", "H1", "--labels", "3,3,2")
+    assert code == 0
+    assert out == "verify: ok (size 336; table: full, all triples)\n"
+    code, out, _ = invoke(capsys, "verify", "--family", "K4planar", "--labels", "3,3,2,2,2,4")
+    assert code == 0
+    assert out == "verify: ok (size 464; table: full)\n"
+
+
+def test_verify_names_the_sampled_table_check(capsys, monkeypatch):
+    monkeypatch.setattr("quandleforge.engine._TABLE_BUDGET", 0)
+    code, out, _ = invoke(capsys, "verify", "--family", "H1", "--labels", "3,3,2")
+    assert code == 0
+    assert out == "verify: ok (size 336; table: sampled at 64 elements)\n"
+
+
 def test_verify_diagram_input(capsys, tmp_path):
     diag = tmp_path / "theta.txt"
     diag.write_text(load_diagram_text("theta3"))

@@ -93,6 +93,30 @@ def test_parse_rejects_comma_labels():
         parse_diagram("arcs: 3\nedge: 1:1 2:2 3:3\nlabels: 3,3,2\nvertex: 1+ 2+ 3+\nvertex: 2- 1- 3-\n")
 
 
+@pytest.mark.parametrize(
+    "text, where",
+    [
+        (load_diagram_text("theta3").replace("labels: 3 3 2", "labels: 3 3 2 7"),
+         "line 4, col 1: edge 4 has no arcs"),
+        ("arcs: 2\n\nedge: 1:1\nlabels: 2\n", "line 3, col 1: arc 2 missing from the edge map"),
+        ("labels: 2\narcs: 1\n", "line 2, col 1: arc 1 missing from the edge map"),
+        ("arcs: 3\nedge: 1:1 2:2 3:2\nlabels: 2 2\nxing + : over=1 in=2 out=3\n"
+         "xing - : over=3 in=1 out=2\n", "line 5, col 1: under arcs 1 and 2 lie on different edges"),
+        ("arcs: 1\nedge: 1:1\nlabels: 2\nvertex: 1+ 1-\nvertex: 2+\n",
+         "line 5, col 1: dangling arc 2 in vertex"),
+        ("arcs: 1\nedge: 1:1\nlabels: 2\nvertex: 1+\nvertex: 1+\n",
+         "line 5, col 1: dangling arc 1: an end is used more than once"),
+    ],
+    ids=["stray-label", "arc-without-edge", "no-edge-line", "crossing", "vertex", "end-used-twice"],
+)
+def test_parse_errors_point_at_their_line(text, where):
+    """Errors found once the whole file is read point at the line that
+    holds the fault, not at line 1."""
+    with pytest.raises(ParseError) as err:
+        parse_diagram(text)
+    assert str(err.value) == where
+
+
 def test_wirtinger_unknot():
     pres = wirtinger(parse_diagram(UNKNOT))
     assert len(pres.generators) == 1

@@ -332,7 +332,9 @@ def test_verify_passes_on_h1():
     assert verify(res.graph, pres) == []
 
 
-def test_verify_reports_fault_injection():
+def _swapped_entries_fault():
+    """theta3(3,3,2) with two targets of generator a swapped, the inverse
+    action kept consistent with them."""
     pres = theta()
     graph = run_graph(pres, EnumerationLimits(100000, 10**9))
     # corrupt one edge: swap two targets of generator a
@@ -343,22 +345,70 @@ def test_verify_reports_fault_injection():
     graph.fwd[a][v1], graph.fwd[a][v2] = t2, t1
     graph.bwd[a][graph.find(t2)] = v1
     graph.bwd[a][graph.find(t1)] = v2
-    violations = verify(graph.finalize(), pres)
-    assert violations == [
-        "universal relation x^[a b c] = x open at element 1",
-        "universal relation x^[a a a] = x open at element 1",
-        "point symmetry of a does not have order dividing 3",
-        "axiom A3 fails under the point symmetry of a",
-        "axiom A3 fails under the point symmetry of b",
-        "axiom A3 fails under the point symmetry of c",
-        "axiom A3 fails at element 0",
-        "element 0 violates the order of its component label",
-    ]
+    return graph.finalize(), pres
+
+
+FAULT_INJECTION_REPORT = [
+    "universal relation x^[a b c] = x open at element 1",
+    "universal relation x^[a a a] = x open at element 1",
+    "point symmetry of a does not have order dividing 3",
+    "axiom A3 fails under the point symmetry of a",
+    "axiom A3 fails under the point symmetry of b",
+    "axiom A3 fails under the point symmetry of c",
+    "axiom A3 fails at element 0",
+    "element 0 violates the order of its component label",
+]
+
+
+def test_verify_reports_fault_injection():
+    quandle, pres = _swapped_entries_fault()
+    assert verify(quandle, pres) == FAULT_INJECTION_REPORT
+
+
+def test_verify_reports_fault_injection_on_the_sampled_path(monkeypatch):
+    """Above the byte budget the same fault gives the same report, less
+    the two checks that only run on the whole table."""
+    monkeypatch.setattr(engine, "_TABLE_BUDGET", 0)
+    quandle, pres = _swapped_entries_fault()
+    assert engine.table_check(quandle.actions.shape[1]) == "sampled at 14 elements"
+    assert verify(quandle, pres) == FAULT_INJECTION_REPORT[:6]
+
+
+TABLE_CHECKS = ("table column", "axiom A1 fails on", "axiom A2", "axiom A3")
+
+
+@pytest.mark.parametrize("budget", [engine._TABLE_BUDGET, 0], ids=["full", "sampled"])
+def test_verify_reports_every_corrupted_action_entry(monkeypatch, budget):
+    """Every wrong value in any one action entry of theta3(3,3,2) is
+    reported.  So is every swap of two targets of one generator with the
+    inverse kept consistent, which leaves total bijections; that one is
+    reported by the table checks themselves, on both paths."""
+    monkeypatch.setattr(engine, "_TABLE_BUDGET", budget)
+    pres = theta()
+    quandle = enumerate_ok(pres).graph
+    ngens, n = quandle.actions.shape
+    assert verify(quandle, pres) == []
+    for g in range(ngens):
+        for x in range(n):
+            for y in range(n):
+                if y != quandle.actions[g, x]:
+                    actions = quandle.actions.copy()
+                    actions[g, x] = y
+                    assert verify(quandle._replace(actions=actions), pres), (g, x, y)
+            for x2 in range(x + 1, n):
+                actions, inverses = quandle.actions.copy(), quandle.inverses.copy()
+                actions[g, [x, x2]] = actions[g, [x2, x]]
+                inverses[g, actions[g, [x, x2]]] = [x, x2]
+                report = verify(quandle._replace(actions=actions, inverses=inverses), pres)
+                assert any(m.startswith(TABLE_CHECKS) for m in report), (g, x, x2, report)
 
 
 def test_blockwise_table_checks_match_whole_table():
     """The row-block A2/A3 checks agree with the same checks written on
-    the whole table, including a fault in the last, partial block."""
+    the whole table, including a fault in the last, partial block, in
+    int64 and in the narrow dtype verify uses; and A3 at a subset of the
+    elements, with their rows taken apart as the sampled check does,
+    agrees with the whole table at those elements."""
     n = 1100
     step = engine._BLOCK_ENTRIES // n
     assert 1 < step < n and n % step
@@ -369,32 +419,84 @@ def test_blockwise_table_checks_match_whole_table():
     broken[n - 1, 7] = broken[n - 1, 8]
     shuffled = rng.permuted(np.tile(identity, (n, 1)), axis=1)
     arbitrary = rng.integers(0, n, size=(n, n))
+    perms = (dihedral[3], dihedral[n - 1], rng.permutation(n))
+    subset = np.array([0, 5, n - 2, n - 1])
     cases = [(dihedral, True), (broken, False), (shuffled, True), (arbitrary, False)]
     for rows, permutations in cases:
         table = rows.T
         whole_a2 = np.array_equal(np.sort(table, axis=0), np.tile(identity[:, None], (1, n)))
         assert whole_a2 == permutations
-        assert engine._rows_are_permutations(rows) == whole_a2
-        for u in (dihedral[3], dihedral[n - 1], rng.permutation(n)):
-            whole_a3 = np.array_equal(u[table], table[np.ix_(u, u)])
-            assert engine._preserves_table(rows, u) == whole_a3
-    assert engine._preserves_table(dihedral, dihedral[3])
-    assert not engine._preserves_table(broken, dihedral[3])
+        for dtype in (np.int64, np.min_scalar_type(n - 1)):
+            typed = rows.astype(dtype)
+            assert engine._rows_are_permutations(typed) == whole_a2
+            for u in perms:
+                whole_a3 = np.array_equal(u[table], table[np.ix_(u, u)])
+                assert engine._preserves_table(typed, identity, u, identity) == whole_a3
+                # only the rows of the subset and of its images, renumbered
+                targets = np.unique(np.concatenate([subset, u[subset]]))
+                row_of = np.full(n, -1)
+                row_of[targets] = np.arange(len(targets))
+                at_subset = np.array_equal(u[table[:, subset]], table[np.ix_(u, u[subset])])
+                assert engine._preserves_table(typed[targets], row_of, u, subset) == at_subset
+    assert engine._preserves_table(dihedral, identity, dihedral[3], identity)
+    assert not engine._preserves_table(broken, identity, dihedral[3], identity)
 
 
 def test_verify_memory_is_one_table():
-    """verify holds one n x n int64 table and O(g n) besides."""
+    """verify holds one n x n table in the narrow dtype, plus about one
+    row block of int64 temporaries and O(g n) besides."""
     pres = expand_relations(family_presentation(FamilyParams("DH", labels=(2, 2, 2, 3, 2, 4))))
     graph = enumerate_ok(pres, limit=10**6).graph
     n = graph.actions.shape[1]
     assert n == 2976
+    assert engine.table_check(n) == "full"
+    itemsize = np.min_scalar_type(n - 1).itemsize
+    assert itemsize == 2
     tracemalloc.start()
     try:
         assert verify(graph, pres) == []
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.5 * 8 * n * n
+    assert peak <= 1.5 * itemsize * n * n + 8 * engine._BLOCK_ENTRIES
+
+
+def test_table_check_modes():
+    assert engine.table_check(1) == "full, all triples"
+    assert engine.table_check(400) == "full, all triples"
+    assert engine.table_check(401) == "full"
+    # uint16 up to 65536 elements: 2 n^2 bytes fit 64 MiB up to 5792
+    assert engine.table_check(5792) == "full"
+    assert engine.table_check(5793) == "sampled at 64 elements"
+    assert engine.table_check(17040) == "sampled at 64 elements"
+
+
+FAST_TABLE1 = [row for row in table1_rows() if not row.get("slow")]
+
+
+def test_sampled_check_passes_on_table1(monkeypatch):
+    """With no byte budget every table1 row takes the sampled path, and
+    every fast row still verifies."""
+    monkeypatch.setattr(engine, "_TABLE_BUDGET", 0)
+    assert len(FAST_TABLE1) == 20
+    for row in FAST_TABLE1:
+        pres = expand_relations(family_presentation(FamilyParams(row["family"], labels=tuple(row["labels"]))))
+        quandle = enumerate_ok(pres, limit=10**6).graph
+        n = quandle.actions.shape[1]
+        assert engine.table_check(n) == f"sampled at {min(n, 64)} elements"
+        assert verify(quandle, pres) == [], row
+
+
+def test_symmetry_rows_of_a_sample_match_the_whole_table():
+    """Rows built for a few targets along the Schreier tree equal the same
+    rows of the whole table."""
+    pres = expand_relations(family_presentation(FamilyParams("K4planar", labels=(3, 3, 2, 2, 2, 4))))
+    quandle = enumerate_ok(pres).graph
+    n = quandle.actions.shape[1]
+    whole = quandle_table(quandle).T
+    assert whole.dtype == np.uint16
+    targets = np.array([0, 1, 17, n // 2, n - 1])
+    assert np.array_equal(engine._symmetry_rows(quandle, targets), whole[targets])
 
 
 def test_canonical_code_invariance_under_relabeling():

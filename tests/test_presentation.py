@@ -71,6 +71,26 @@ def test_parse_errors(text, message):
     assert message in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "text, where",
+    [
+        (load_family_text("theta3").replace("labels: 3 3 2", "labels: 3 3 2 7"),
+         "line 6, col 1: edge 4 has no generator"),
+        ("gens: a b\n# comment\nedges: a:1 b:3\nlabels: 1 1\n",
+         "line 3, col 1: generator 'b' mapped to edge 3, but only 2 labels given"),
+        ("gens: a b\nlabels: 1 1\nedges: a:1\n",
+         "line 3, col 1: generator 'b' missing from 'edges:' map"),
+    ],
+    ids=["stray-label", "edge-beyond-labels", "generator-without-edge"],
+)
+def test_parse_errors_point_at_their_line(text, where):
+    """Errors found once the whole file is read point at the line that
+    holds the fault, not at line 1."""
+    with pytest.raises(ParseError) as err:
+        parse_presentation(text)
+    assert str(err.value) == where
+
+
 def _fields(pres):
     return (pres.generators, pres.edge_of, pres.labels, pres.primaries, pres.universals)
 
