@@ -474,37 +474,57 @@ def components(quandle: Quandle):
     root, edge_sizes = _orbits(quandle)
     by_orbit = np.argsort(root, kind="stable")
     cuts = np.flatnonzero(np.diff(root[by_orbit])) + 1
-    orbits = [part.tolist() for part in np.split(by_orbit, cuts)]
+    # an empty quandle splits into one empty part, which is no orbit
+    orbits = [part.tolist() for part in np.split(by_orbit, cuts) if part.size]
     return orbits, edge_sizes
 
 
-def _schreier_tree(quandle: Quandle) -> tuple[np.ndarray, np.ndarray]:
-    """The breadth-first spanning forest of the action graph, from the basepoints.
+def _breadth_first(actions: np.ndarray, inverses: np.ndarray, roots: np.ndarray):
+    """Breadth-first search of the graph of generator actions from ``roots``.
 
-    The roots are the basepoints in generator order; from each element in
-    turn, every generator's forward and then backward image is reached.
-    Returns ``(parent, move)``: for each element x its tree parent p (-1 at
-    a root) and the move from p, ``2 g`` where x is p acted by g and
-    ``2 g + 1`` where it is p acted by g^(-1); at a root, the first
-    generator whose basepoint x is.  The search runs one level at a time:
-    the new elements of a level are the unreached images of the level
-    before, in the order of their first appearance.
+    From each element in turn, every generator's forward and then
+    backward image is reached: move ``2 g`` follows ``actions[g]`` and
+    ``2 g + 1`` follows ``inverses[g]``.  The search runs one level at a
+    time; the new elements of a level are the unreached images of the
+    level before, in the order of their first appearance, so elements are
+    reached in the order a queue would reach them.  Returns ``(order,
+    parent, move)``: the elements reached, in that order, and for each
+    element x its tree parent p (-1 at a root, -2 if x is not reached)
+    and the move from p to x (0 where there is none).
     """
-    n = quandle.actions.shape[1]
-    moves = np.stack([quandle.actions, quandle.inverses], axis=1).reshape(-1, n)
+    ngens, n = actions.shape
+    moves = np.stack([actions, inverses], axis=1).reshape(2 * ngens, n)
     parent = np.full(n, -2)  # -2: not reached yet
     move = np.zeros(n, dtype=np.int64)
-    bases, first = np.unique(quandle.basepoint, return_index=True)
-    level = bases[np.argsort(first)]
-    parent[level], move[level] = -1, np.sort(first)
+    parent[roots] = -1
+    level = roots
+    order = [level]
     while level.size:
         images = moves[:, level].T.ravel()  # parent-major, move-minor
         _, at = np.unique(images, return_index=True)
         at = np.sort(at[parent[images[at]] == -2])
         parent[images[at]], move[images[at]] = level[at // len(moves)], at % len(moves)
         level = images[at]
-    if (parent == -2).any():
+        order.append(level)
+    return np.concatenate(order), parent, move
+
+
+def _schreier_tree(quandle: Quandle) -> tuple[np.ndarray, np.ndarray]:
+    """The breadth-first spanning forest of the action graph, from the basepoints.
+
+    The roots are the basepoints in generator order, and the tree is
+    :func:`_breadth_first`'s.  Returns ``(parent, move)``: for each
+    element x its tree parent p (-1 at a root) and the move from p, ``2 g``
+    where x is p acted by g and ``2 g + 1`` where it is p acted by
+    g^(-1); at a root, the first generator whose basepoint x is.  Raises
+    ValueError unless every element is reached.
+    """
+    bases, first = np.unique(quandle.basepoint, return_index=True)
+    roots = bases[np.argsort(first)]
+    order, parent, move = _breadth_first(quandle.actions, quandle.inverses, roots)
+    if len(order) < len(parent):
         raise ValueError("graph has elements unreachable from every basepoint")
+    move[roots] = np.sort(first)
     return parent, move
 
 
@@ -582,9 +602,6 @@ _BLOCK_ENTRIES = 1 << 16
 # symmetries of _SAMPLE_SIZE seeded elements instead.
 _TABLE_BUDGET = 64 << 20
 _SAMPLE_SIZE = 64
-# Up to this many elements, verify also checks the axioms on all pairs and
-# triples of the operation table directly.
-_FULL_AXIOM_LIMIT = 400
 
 
 def _table_fits(n: int) -> bool:
@@ -593,14 +610,12 @@ def _table_fits(n: int) -> bool:
 
 def table_check(n: int) -> str:
     """Which operation-table check :func:`verify` runs on n elements:
-    ``full, all triples``, ``full`` or ``sampled at k elements``."""
-    if not _table_fits(n):
-        return f"sampled at {min(n, _SAMPLE_SIZE)} elements"
-    return "full, all triples" if n <= _FULL_AXIOM_LIMIT else "full"
+    ``full`` or ``sampled at k elements``."""
+    return "full" if _table_fits(n) else f"sampled at {min(n, _SAMPLE_SIZE)} elements"
 
 
 def _row_blocks(count: int, length: int):
-    step = max(1, _BLOCK_ENTRIES // length)
+    step = max(1, _BLOCK_ENTRIES // max(1, length))  # length is 0 in the empty quandle
     for start in range(0, count, step):
         yield slice(start, min(start + step, count))
 
@@ -637,30 +652,36 @@ def verify(quandle: Quandle, pres: Presentation) -> list[str]:
     """Check a finished quandle against the quandle axioms and relations.
 
     Always verified, in O(g n) memory for g generators: actions are total
-    mutually inverse bijections, A1 at the basepoints, every primary
-    relation path, every universal relation loop at every element, and the
-    order of every generator's point symmetry.  These are the closure
-    conditions of Winker's method.
+    mutually inverse maps (so bijections), A1 at the basepoints, every
+    primary relation path, every universal relation loop at every
+    element, one label per component, and the order of every generator's
+    point symmetry.  These are the closure conditions of Winker's method.
 
     The operation table then cross-checks them; :func:`table_check` names
     how.  Its column x is the point symmetry S_x, built along one Schreier
     tree from the basepoints (see :func:`_symmetry_rows`) in the narrowest
-    unsigned dtype that holds n - 1.  A3 for all triples reduces to every
-    generator's point symmetry A_g being an automorphism, since every
-    element's symmetry is a conjugate of these; at element z that is the
-    conjugation consistency S_(A_g z) = A_g S_z A_g^(-1).
+    unsigned dtype that holds n - 1.  It is checked for the generator
+    columns S_(b_g) = A_g at each basepoint b_g, A1 on the diagonal, A2
+    (every column a bijection) and A3 under every generator A_g: the
+    conjugation consistency S_(A_g z) = A_g S_z A_g^(-1) at each checked
+    element z, which at every z says A_g is an automorphism.
 
     - While the n x n table takes at most ``_TABLE_BUDGET`` bytes (64 MiB:
       up to 5792 elements in uint16), it is built whole and checked at
-      every element, in row blocks of ``_BLOCK_ENTRIES`` (2^16) entries:
-      the generator columns, A1 on the diagonal, A2 (every column a
-      bijection) and A3 under every generator.  Up to
-      ``_FULL_AXIOM_LIMIT`` (400) elements, A3 is also checked on all
-      triples, and every element's point symmetry against the label of
-      its component.
+      every element, in row blocks of ``_BLOCK_ENTRIES`` (2^16) entries.
     - Above the budget, the same checks run at ``_SAMPLE_SIZE`` (64)
       elements z drawn with a fixed seed: only the symmetries of z, of
       every A_g z and of the basepoints are built.
+
+    On the whole table these checks imply A3 on all triples and the order
+    of every element's point symmetry, so neither is checked apart.  The
+    Schreier tree reaches every element z from some basepoint b_g along
+    generator moves (it raises otherwise).  Along each move the
+    conjugation consistency holds, and S_(b_g) = A_g, so S_z = W A_g W^(-1)
+    for a product W of generator actions.  Every A_h is an automorphism,
+    so S_z is one too: that is A3 for all triples with z last.  And S_z
+    has the order of A_g, which divides the label of g; z lies in the
+    component of b_g, which carries that one label.
 
     Returns a list of violations; empty means verified.
 
@@ -687,8 +708,6 @@ def verify(quandle: Quandle, pres: Presentation) -> list[str]:
         return violations
 
     for g, gen in enumerate(gens):
-        if not np.array_equal(np.sort(actions[g]), identity):
-            violations.append(f"action of {gen.name} is not a bijection")
         b = bases[g]
         if actions[g][b] != b:
             violations.append(f"axiom A1 fails: no loop at the vertex of {gen.name}")
@@ -718,8 +737,7 @@ def verify(quandle: Quandle, pres: Presentation) -> list[str]:
                 f"point symmetry of {gen.name} does not have order dividing {pres.label_of(gen)}"
             )
 
-    full = _table_fits(n)
-    if full:
+    if _table_fits(n):
         sample = identity
     else:  # a fixed seed: the same elements on every run
         sample = np.sort(np.random.default_rng(0).choice(n, min(n, _SAMPLE_SIZE), replace=False))
@@ -740,28 +758,6 @@ def verify(quandle: Quandle, pres: Presentation) -> list[str]:
         if not _preserves_table(rows, row_of, actions[g], sample):
             violations.append(f"axiom A3 fails under the point symmetry of {gen.name}")
 
-    if full and n <= _FULL_AXIOM_LIMIT:
-        index = rows.astype(np.intp)  # at most 1.3 MB
-        for z in range(n):
-            u = index[z]
-            # u(S_x(y)) = S_u(x)(u(y)) for all x and y
-            if not np.array_equal(np.take(rows[z], index), np.take(rows[u], u, axis=1)):
-                violations.append(f"axiom A3 fails at element {z}")
-                break
-        label_of_orbit = {}
-        for g, gen in enumerate(gens):
-            label_of_orbit[int(root[bases[g]])] = pres.label_of(gen)
-        for i in range(n):
-            label = label_of_orbit.get(int(root[i]))
-            if label is None:
-                continue
-            power = identity
-            for _ in range(label):
-                power = rows[i][power]
-            if not np.array_equal(power, identity):
-                violations.append(f"element {i} violates the order of its component label")
-                break
-
     return violations
 
 
@@ -773,24 +769,14 @@ def canonical_code_of_actions(actions, base: int, names=None) -> str:
     part.  Two based, generator-labeled graphs are isomorphic iff their
     codes are equal.
     """
-    arrays = [np.asarray(a) for a in actions]
-    inverses = [np.argsort(a) for a in arrays]
-    relabel = {base: 0}
-    order = [base]
-    head = 0
-    while head < len(order):
-        v = order[head]
-        head += 1
-        for g in range(len(arrays)):
-            for table in (arrays[g], inverses[g]):
-                w = int(table[v])
-                if w not in relabel:
-                    relabel[w] = len(order)
-                    order.append(w)
+    arrays = np.asarray(actions)
+    order, _, _ = _breadth_first(arrays, np.argsort(arrays, axis=1), np.array([base]))
+    relabel = np.empty(arrays.shape[1], dtype=np.int64)
+    relabel[order] = np.arange(len(order))
     parts = []
-    for g in range(len(arrays)):
+    for g, row in enumerate(arrays):
         name = names[g] if names else str(g)
-        imgs = ",".join(str(relabel[int(arrays[g][v])]) for v in order)
+        imgs = ",".join(map(str, relabel[row[order]].tolist()))
         parts.append(f"{name}:{imgs}")
     return f"n={len(order)};" + ";".join(parts)
 

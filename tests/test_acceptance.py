@@ -139,7 +139,7 @@ def test_criterion_4_oracle_isomorphism():
 
 # -- criterion 5: exhaustive axiom suite on small quandles ------------------
 
-def test_criterion_5_axiom_suite():
+def test_criterion_5_axiom_suite(brute_force):
     bad = []
     checked = 0
     for row in FAST_ROWS:
@@ -149,7 +149,7 @@ def test_criterion_5_axiom_suite():
             family_presentation(FamilyParams(row["family"], labels=tuple(row["labels"])))
         )
         res = enumerate_quandle(pres, LIMITS)
-        violations = verify(res.graph, pres)
+        violations = verify(res.graph, pres) + brute_force(res.graph, pres)
         checked += 1
         if violations:
             bad.append((row["family"], tuple(row["labels"]), violations[:3]))

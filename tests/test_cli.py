@@ -105,6 +105,18 @@ def test_table_format(capsys, tmp_path):
     assert out.strip() == "0"
 
 
+def test_empty_diagram_enumerates_to_the_empty_quandle(capsys, tmp_path):
+    empty = tmp_path / "empty.txt"
+    empty.write_text("arcs: 0\nlabels:\n")
+    code, out, _ = invoke(capsys, "enumerate", "--input", str(empty), "--format", "stats")
+    assert code == 0
+    assert "final_size=0\n" in out
+    assert "components=0\n" in out
+    code, out, _ = invoke(capsys, "enumerate", "--input", str(empty), "--format", "table")
+    assert code == 0
+    assert out == ""
+
+
 def test_verify_subcommand(capsys):
     code, out, _ = invoke(capsys, "verify", "--family", "H1", "--labels", "3,2,2")
     assert code == 0
@@ -115,7 +127,7 @@ def test_verify_subcommand(capsys):
 def test_verify_names_the_full_table_check(capsys):
     code, out, _ = invoke(capsys, "verify", "--family", "H1", "--labels", "3,3,2")
     assert code == 0
-    assert out == "verify: ok (size 336; table: full, all triples)\n"
+    assert out == "verify: ok (size 336; table: full)\n"
     code, out, _ = invoke(capsys, "verify", "--family", "K4planar", "--labels", "3,3,2,2,2,4")
     assert code == 0
     assert out == "verify: ok (size 464; table: full)\n"

@@ -16,7 +16,9 @@ from quandleforge import (
     enumerate_quandle,
     expand_relations,
     parse_diagram,
+    quandle_table,
     subdivide_edge,
+    verify,
     wirtinger,
 )
 from quandleforge.families import load_diagram_text
@@ -185,6 +187,11 @@ def test_delete_only_edge_of_unknot():
     assert out.labels == ()
     assert report.removed_component == 1
     assert enum_size(out) == 0
+    pres = expand_relations(wirtinger(out))
+    quandle = enumerate_quandle(pres).graph
+    assert components(quandle) == ([], {})
+    assert verify(quandle, pres) == []
+    assert quandle_table(quandle).shape == (0, 0)
 
 
 def test_delete_missing_edge():
