@@ -28,8 +28,12 @@ passes the last vertex; it aborts with a limit-exceeded report when the
 vertex or step budget runs out, which is the only possible outcome for
 an infinite quandle.
 
-A completed graph is finalized once into a read-only :class:`Quandle`
-(dense arrays over elements), which every analysis function here takes.
+The enumerator holds rows in proportion to its live vertices: whenever
+dead rows outnumber live ones at a sweep boundary, it compacts, renumbering
+the live vertices in creation order.  Finalizing a completed graph is the
+last compaction, after which vertex ids are element indices; it copies the
+tables once into a read-only :class:`Quandle` (dense arrays over
+elements), which every analysis function here takes.
 
 Everything is deterministic: identical inputs give identical numberings.
 Coincidence processing keeps the lower-numbered vertex as representative.
@@ -39,7 +43,6 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import asdict, dataclass
-from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -51,14 +54,18 @@ from .words import GroupWord
 DEFAULT_MAX_VERTICES = 1_000_000
 DEFAULT_MAX_STEPS = 1_000_000_000
 INT32_MAX = 2**31 - 1  # the largest vertex budget: vertex ids are stored as int32
+# The fewest rows the tables grow by, and the fewest dead rows worth compacting.
+_CHUNK = 1024
 
 
 @dataclass(frozen=True)
 class EnumerationLimits:
     """Budget for a single enumeration; both counts must be positive.
 
-    Vertex ids are stored as int32, so ``max_vertices`` is at most
-    2**31 - 1.
+    ``max_vertices`` counts created vertices, including those later
+    merged away, although compaction drops the rows of dead ones: it
+    bounds the work, not the rows held.  Vertex ids are stored as int32,
+    so it is at most 2**31 - 1.
     """
 
     max_vertices: int = DEFAULT_MAX_VERTICES
@@ -149,21 +156,23 @@ class CayleyGraph:
     undefined image.  ``parent`` is the union-find structure and the only
     record of liveness: a vertex v is live while ``parent[v] == v``, and a
     merged vertex stays in the tables, pointing towards its
-    representative, so stored vertex ids must be resolved through
-    :meth:`find` when read.  Each merge kills exactly one vertex, so
-    ``size - stats.merges`` vertices are live.  ``basepoint[g]`` is the
-    vertex created for generator g.  In a completed graph every action
-    is total on live vertices and the vertex of each generator carries a
-    loop under that generator.
+    representative, until the next :meth:`compact`, so stored vertex ids
+    must be resolved through :meth:`find` when read.  Each merge kills
+    exactly one vertex, so ``stats.vertices_created - stats.merges``
+    vertices are live.  ``basepoint[g]`` is the vertex of generator g.  In
+    a completed graph every action is total on live vertices and the
+    vertex of each generator carries a loop under that generator.
 
-    Storage is indexed by vertex id: ``fwd[g]`` and ``bwd[g]`` are
-    ``array("i")`` int32 tables and ``parent`` is a list.  They are
-    grown in place together, by an eighth of their capacity and at least
-    1024 slots, when a vertex is created at capacity, so each stays the
-    same object for the graph's whole life; slots past ``size`` (the
-    number of vertices created) hold -1.  A created vertex costs about
-    8 g + 38 bytes for g generators whether or not it is still live, and
-    ``limits.max_vertices`` bounds created vertices, not live ones.
+    Storage is indexed by vertex id: ``fwd[g]``, ``bwd[g]`` and
+    ``parent`` are ``array("i")`` int32 tables.  They are grown in place
+    together, by an eighth of their capacity and at least ``_CHUNK``
+    (1024) slots, when a vertex is created at capacity, and compacted in
+    place, so each stays the same object for the graph's whole life.
+    ``size`` rows are in use, live or dead; slots past it hold -1.  A row
+    costs 8 g + 4 bytes for g generators, and :meth:`run` compacts
+    whenever dead rows outnumber live ones, so the rows held stay within
+    about twice the peak live count.  ``limits.max_vertices`` bounds
+    created vertices, not live ones or rows held.
     """
 
     def __init__(self, pres: Presentation, limits: EnumerationLimits):
@@ -173,7 +182,7 @@ class CayleyGraph:
         self.fwd: list[array] = [array("i") for _ in range(ngens)]
         self.bwd: list[array] = [array("i") for _ in range(ngens)]
         self.tables = self.fwd + self.bwd
-        self.parent: list[int] = []
+        self.parent = array("i")
         self.size = 0
         self.stats = EnumerationStats()
         self.basepoint: list[int] = [self.add_vertex() for _ in range(ngens)]
@@ -185,16 +194,15 @@ class CayleyGraph:
     # -- vertex bookkeeping -------------------------------------------------
 
     def _grow(self) -> None:
-        chunk = max(len(self.parent) // 8, 1024)
-        undefined = array("i", [-1]) * chunk
+        undefined = array("i", [-1]) * max(len(self.parent) // 8, _CHUNK)
         for table in self.tables:
             table.extend(undefined)
-        self.parent.extend(repeat(-1, chunk))
+        self.parent.extend(undefined)
 
     def add_vertex(self) -> int:
-        v = self.size
-        if v >= self.limits.max_vertices:
+        if self.stats.vertices_created >= self.limits.max_vertices:
             raise _LimitHit
+        v = self.size
         if v == len(self.parent):
             self._grow()
         self.parent[v] = v
@@ -203,13 +211,49 @@ class CayleyGraph:
         return v
 
     def find(self, v: int) -> int:
+        # each int32 read makes a new int, so each path entry is read once going up
         parent = self.parent
-        root = v
-        while parent[root] != root:
-            root = parent[root]
-        while parent[v] != root:
-            parent[v], v = root, parent[v]
+        first = root = parent[v]
+        up = parent[root]
+        while up != root:
+            root, up = up, parent[up]
+        if first != root:  # compress the path from v
+            while v != root:
+                parent[v], v = root, parent[v]
         return root
+
+    def compact(self, position: int) -> int:
+        """Drop the rows of dead vertices, renumbering the live ones.
+
+        The k live vertices are renumbered 0..k-1 in creation order, and
+        every table entry and basepoint is mapped to the new id of its
+        representative; ``parent`` becomes the identity on 0..k-1 and the
+        freed slots hold -1.  Renumbering keeps the order of live ids, so
+        every later merge keeps the same representative as it would have
+        without compaction.  Returns the number of live vertices below
+        ``position``: the new position of a sweep that was at it.
+
+        Each table is remapped in place through a view that is released
+        on return, since an exported buffer keeps an array from growing.
+        """
+        size = self.size
+        parent = np.frombuffer(self.parent, dtype=np.int32, count=size)
+        root = _flatten(parent)
+        live = np.flatnonzero(root == np.arange(size, dtype=np.int32))
+        k = len(live)
+        # new_id[-1] stays -1, so undefined images map to themselves
+        new_id = np.full(size + 1, -1, dtype=np.int32)
+        new_id[live] = np.arange(k, dtype=np.int32)
+        new_id[:size] = new_id[root]
+        for table in self.tables:
+            rows = np.frombuffer(table, dtype=np.int32, count=size)
+            rows[:k] = new_id[rows[live]]
+            rows[k:] = -1
+        parent[:k] = np.arange(k, dtype=np.int32)
+        parent[k:] = -1
+        self.basepoint[:] = new_id[self.basepoint].tolist()
+        self.size = k
+        return int(np.searchsorted(live, position))
 
     # -- tracing and collapsing ---------------------------------------------
 
@@ -330,7 +374,11 @@ class CayleyGraph:
     def run(self) -> bool:
         """Run Winker's method on the presentation; True once the graph is
         complete, False when a limit was hit.  Either way ``stats.live``
-        is set to the number of live vertices."""
+        is set to the number of live vertices.
+
+        Once a vertex's universal relations are traced, the graph is
+        compacted if at least ``_CHUNK`` rows are dead and dead rows
+        outnumber live ones."""
         pres, stats = self.pres, self.stats
         universals = [self.letters(rel.word) for rel in pres.universals]
         try:
@@ -353,42 +401,34 @@ class CayleyGraph:
                             self.collapse(pending)
                             cur = self.find(cur)
                         stats.relations_traced += 1
+                    dead = self.size - (stats.vertices_created - stats.merges)
+                    if dead >= _CHUNK and 2 * dead > self.size:
+                        v = self.compact(v + 1)
+                        continue
                 v += 1
         except _LimitHit:
             return False
         finally:
-            stats.live = self.size - stats.merges
+            stats.live = stats.vertices_created - stats.merges
         return True
 
     def finalize(self) -> Quandle:
         """The live part of the graph as a read-only :class:`Quandle`.
 
-        Only the live rows of the action tables are read.  Their vertex
-        ids are resolved to representatives all at once, by following
-        ``parent`` as one int32 array, so the cost is O(g n) plus one copy
-        of ``parent``.  Live vertices are numbered in creation order;
-        undefined images stay -1.
+        Finalizing is the last :meth:`compact`: afterwards the live
+        vertices are numbered 0..n-1 in creation order and vertex ids are
+        element indices, so the first n entries of each table are copied
+        as they stand.  Undefined images stay -1.
         """
-        parent = np.fromiter(self.parent, dtype=np.int32, count=self.size)
-        order = np.flatnonzero(parent == np.arange(self.size, dtype=np.int32))
+        n = self.compact(self.size)
 
-        def element(ids):
-            while True:
-                up = parent[ids]
-                if np.array_equal(up, ids):
-                    return np.searchsorted(order, ids)
-                ids = up
+        def copy(tables):
+            rows = np.empty((len(tables), n), dtype=np.int64)
+            for table, row in zip(tables, rows):
+                row[:] = np.frombuffer(table, dtype=np.int32, count=n)
+            return rows
 
-        def resolve(tables):
-            raw = np.empty((len(tables), len(order)), dtype=np.int32)
-            for table, row in zip(tables, raw):
-                np.take(np.frombuffer(table, dtype=np.int32), order, out=row)
-            return np.where(raw >= 0, element(raw), -1)
-
-        arrays = (
-            resolve(self.fwd), resolve(self.bwd),
-            element(np.asarray(self.basepoint, dtype=np.int64)),
-        )
+        arrays = (copy(self.fwd), copy(self.bwd), np.array(self.basepoint, dtype=np.int64))
         for a in arrays:
             a.flags.writeable = False
         return Quandle(self.pres, *arrays)

@@ -103,6 +103,53 @@ class ForwardOnlyGraph(CayleyGraph):
         return pending
 
 
+class UncompactedGraph(CayleyGraph):
+    """The enumerator without compaction, kept as a reference: it holds a
+    row for every vertex it creates, and finalizes by resolving each
+    stored vertex id through ``parent`` to the creation-order index of
+    its representative."""
+
+    def compact(self, position):
+        return position
+
+    def finalize(self):
+        parent = np.frombuffer(self.parent, dtype=np.int32, count=self.size)
+        order = np.flatnonzero(parent == np.arange(self.size, dtype=np.int32))
+
+        def element(ids):
+            while True:
+                up = parent[ids]
+                if np.array_equal(up, ids):
+                    return np.searchsorted(order, ids)
+                ids = up
+
+        def resolve(tables):
+            raw = np.empty((len(tables), len(order)), dtype=np.int32)
+            for table, row in zip(tables, raw):
+                np.take(np.frombuffer(table, dtype=np.int32), order, out=row)
+            return np.where(raw >= 0, element(raw), -1)
+
+        arrays = (
+            resolve(self.fwd), resolve(self.bwd),
+            element(np.asarray(self.basepoint, dtype=np.int64)),
+        )
+        for a in arrays:
+            a.flags.writeable = False
+        return engine.Quandle(self.pres, *arrays)
+
+
+class PeakLiveGraph(CayleyGraph):
+    """The enumerator, recording the most vertices live at once."""
+
+    peak_live = 0
+
+    def add_vertex(self):
+        v = super().add_vertex()
+        # merges are counted when a collapse ends, and none creates a vertex
+        self.peak_live = max(self.peak_live, self.stats.vertices_created - self.stats.merges)
+        return v
+
+
 def test_single_generator_free_quandle():
     pres = expand_relations(parse_presentation("gens: a\nedges: a:1\nlabels: 5\n"))
     res = enumerate_ok(pres)
@@ -624,6 +671,8 @@ def test_limits_reject_vertex_ids_beyond_int32():
 @pytest.mark.parametrize("params, limits, counters", [
     (FamilyParams("K4knot"), EnumerationLimits(2_000_000, 20_000), (3526, 1236, 6389, 20001, 2290)),
     (FamilyParams("K4knot"), EnumerationLimits(5000, 10**9), (5000, 1701, 9001, 28142, 3299)),
+    (FamilyParams("K4knot"), EnumerationLimits(2_000_000, 200_000), (28423, 14768, 63059, 200001, 13655)),
+    (FamilyParams("K4knot"), EnumerationLimits(40_000, 10**9), (40000, 21841, 91705, 291225, 18159)),
     (FamilyParams("Gkmn", k=2, m=3, n=5), EnumerationLimits(), (772, 620, 1540, 5856, 152)),
     (FamilyParams("DH", labels=(2, 2, 2, 3, 2, 2)), EnumerationLimits(), (353, 251, 1430, 4027, 102)),
     (FamilyParams("theta3", labels=(3, 3, 2)), EnumerationLimits(), (18, 4, 56, 158, 14)),
@@ -635,7 +684,7 @@ def test_engine_counters_pinned(params, limits, counters):
 
 
 def test_memory_per_created_vertex():
-    """int32 tables and one parent entry per vertex id: about 8 g + 38
+    """int32 tables and one parent entry per vertex id: about 8 g + 20
     bytes per created vertex, live or dead."""
     pres = expand_relations(family_presentation(FamilyParams("K4knot")))
     g = len(pres.generators)
@@ -733,3 +782,50 @@ def test_gap_scan_matches_forward_only_walk_on_random_presentations(brute_force,
     # primary joining generators of unequal labels whatever the engine does
     if done and all(pres.label_of(r.lhs_base) == pres.label_of(r.rhs) for r in pres.primaries):
         assert verify(graph.finalize(), pres) == []
+
+
+GKMN_16_8_8 = FamilyParams("Gkmn", k=16, m=8, n=8)
+COMPACTION_INPUTS = [(name, p) for name, p in EQUIVALENCE_INPUTS if p is not None] + [
+    ("Gkmn-16_8_8", GKMN_16_8_8)
+]
+
+
+@pytest.mark.parametrize(
+    "params", [p for _, p in COMPACTION_INPUTS], ids=[name for name, _ in COMPACTION_INPUTS]
+)
+def test_compaction_changes_no_output(params):
+    """Compacting the rows of dead vertices changes neither the finished
+    quandle nor a counter."""
+    pres = expand_relations(family_presentation(params))
+    limits = EnumerationLimits(2_000_000, 10**9)
+    reference, graph = UncompactedGraph(pres, limits), CayleyGraph(pres, limits)
+    assert reference.run() and graph.run()
+    assert graph.stats == reference.stats
+    a, b = reference.finalize(), graph.finalize()
+    for name in ("actions", "inverses", "basepoint"):
+        assert getattr(a, name).dtype == getattr(b, name).dtype, name
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+    if params == GKMN_16_8_8:
+        assert len(graph.parent) < graph.stats.vertices_created
+
+
+@pytest.mark.parametrize("limits", [
+    EnumerationLimits(2_000_000, 200_000), EnumerationLimits(40_000, 10**9),
+])
+def test_compaction_changes_no_counter_of_a_limited_run(limits):
+    pres = expand_relations(family_presentation(FamilyParams("K4knot")))
+    reference, graph = UncompactedGraph(pres, limits), CayleyGraph(pres, limits)
+    assert not reference.run() and not graph.run()
+    assert graph.stats == reference.stats
+    assert len(graph.parent) < graph.stats.vertices_created
+
+
+def test_rows_held_follow_the_live_count():
+    """Gkmn(16,8,8) creates 200,297 vertices, at most 51,499 of them live
+    at once; compaction keeps the rows held within twice that peak plus
+    one growth chunk."""
+    graph = PeakLiveGraph(expand_relations(family_presentation(GKMN_16_8_8)), EnumerationLimits())
+    assert graph.run()
+    assert graph.peak_live == 51_499
+    assert all(len(table) == len(graph.parent) for table in graph.tables)
+    assert len(graph.parent) <= 2 * graph.peak_live + engine._CHUNK
