@@ -17,15 +17,12 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from . import diagram as diagram_mod
 from .engine import (
     DEFAULT_MAX_STEPS,
     DEFAULT_MAX_VERTICES,
     EnumerationLimits,
     Quandle,
-    _orbits,
     canonical_code,
     components,
     enumerate_quandle,
@@ -139,8 +136,9 @@ def export_dot(quandle: Quandle, no_loops: bool = False) -> str:
 
 def export_json(quandle: Quandle, pres: Presentation, stats) -> str:
     """Stable JSON export: size, labels, components and generator actions."""
-    root, edge_sizes = _orbits(quandle)
-    edge_root = {pres.edge_of[gen]: root[quandle.basepoint[gen.id]] for gen in quandle.gens}
+    orbits, edge_sizes = components(quandle)
+    orbit_of = {x: orbit for orbit in orbits for x in orbit}
+    members = {pres.edge_of[gen]: orbit_of[int(quandle.basepoint[gen.id])] for gen in quandle.gens}
     doc = {
         "size": quandle.actions.shape[1],
         "edge_labels": list(pres.labels),
@@ -148,7 +146,7 @@ def export_json(quandle: Quandle, pres: Presentation, stats) -> str:
             {
                 "edge": edge,
                 "size": edge_sizes[edge],
-                "members": np.flatnonzero(root == edge_root[edge]).tolist(),
+                "members": members[edge],
             }
             for edge in sorted(edge_sizes)
         ],

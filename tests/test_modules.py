@@ -1,0 +1,39 @@
+"""Module boundaries inside the package."""
+
+import ast
+from pathlib import Path
+
+import quandleforge
+
+PACKAGE = Path(quandleforge.__file__).parent
+
+
+def private_imports(source: str) -> list[str]:
+    """The underscore names a module's source imports from a sibling
+    module of the package, as ``module:name`` (``.engine:_orbits``)."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (
+            node.level > 0 or (node.module or "").split(".")[0] == "quandleforge"
+        ):
+            found += [
+                f"{'.' * node.level}{node.module or ''}:{alias.name}"
+                for alias in node.names
+                if alias.name.startswith("_")
+            ]
+    return found
+
+
+def test_private_imports_are_found():
+    multiline = "from .engine import (\n    Quandle,\n    _orbits,\n)\n"
+    assert private_imports(multiline) == [".engine:_orbits"]
+    assert private_imports("from quandleforge.words import _x") == ["quandleforge.words:_x"]
+    assert private_imports("from . import _helpers") == [".:_helpers"]
+    assert private_imports("from numpy import _core\nfrom __future__ import annotations") == []
+
+
+def test_no_module_imports_a_private_name_of_another():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert modules
+    for path in modules:
+        assert private_imports(path.read_text(encoding="utf-8")) == [], path.name
