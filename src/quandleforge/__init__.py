@@ -54,7 +54,6 @@ from .families import (
 from .diagram import (
     Crossing,
     DiagramSpec,
-    SurgeryReport,
     delete_edge,
     parse_diagram,
     subdivide_edge,

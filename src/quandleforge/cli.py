@@ -39,7 +39,7 @@ from .families import (
     gkmn_size,
     table1_rows,
 )
-from .presentation import Presentation, expand_relations, parse_presentation
+from .presentation import Presentation, parse_presentation
 from .words import ParseError, parse_labels, read_key_lines
 
 DOT_COLORS = ("black", "red", "blue", "forestgreen", "darkorange", "purple", "brown", "cadetblue")
@@ -108,10 +108,10 @@ def _emit(text: str, path: str | None):
         sys.stdout.write(text)
 
 
-def format_stats(result, quandle) -> str:
+def format_stats(result) -> str:
     lines = [f"outcome={result.outcome}"]
-    if quandle is not None:
-        orbits, edge_sizes = components(quandle)
+    if result.completed:
+        orbits, edge_sizes = components(result.graph)
         lines.append(f"final_size={result.stats.live}")
         lines.append(f"components={len(orbits)}")
         lines.append(
@@ -165,15 +165,15 @@ def format_table(quandle: Quandle) -> str:
 
 
 def cmd_enumerate(args) -> int:
-    pres = expand_relations(_load_presentation(args))
+    pres = _load_presentation(args)
     result = enumerate_quandle(pres, _limits(args))
     if not result.completed:
-        _emit(format_stats(result, None), args.output)
+        _emit(format_stats(result), args.output)
         return 2
     quandle = result.graph
     violations = verify(quandle, pres)
     if args.format == "stats":
-        _emit(format_stats(result, quandle), args.output)
+        _emit(format_stats(result), args.output)
     elif args.format == "dot":
         _emit(export_dot(quandle, no_loops=args.no_loops), args.output)
     elif args.format == "json":
@@ -188,10 +188,10 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    pres = expand_relations(_load_presentation(args))
+    pres = _load_presentation(args)
     result = enumerate_quandle(pres, _limits(args))
     if not result.completed:
-        print(format_stats(result, None), end="")
+        print(format_stats(result), end="")
         return 2
     violations = verify(result.graph, pres)
     for violation in violations:
@@ -209,9 +209,7 @@ def cmd_regress(args) -> int:
         if row.get("slow") and args.skip_slow:
             print(f"SKIP  {row['family']} {tuple(row['labels'])} (slow)")
             continue
-        pres = expand_relations(
-            family_presentation(FamilyParams(row["family"], labels=tuple(row["labels"])))
-        )
+        pres = family_presentation(FamilyParams(row["family"], labels=tuple(row["labels"])))
         result = enumerate_quandle(pres, limits)
         got = result.stats.live if result.completed else None
         ok = got == row["expected"]
@@ -229,7 +227,7 @@ def cmd_oracle_check(args) -> int:
     for k in ks:
         for m in ms:
             for n in ns:
-                pres = expand_relations(family_presentation(FamilyParams("Gkmn", k=k, m=m, n=n)))
+                pres = family_presentation(FamilyParams("Gkmn", k=k, m=m, n=n))
                 result = enumerate_quandle(pres, _limits(args))
                 if not result.completed:
                     print(f"FAIL  G({k},{m},{n}): enumeration hit limits")

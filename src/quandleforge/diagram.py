@@ -47,18 +47,6 @@ class Crossing:
     under_out: int
 
 
-@dataclass(frozen=True)
-class SurgeryReport:
-    """Which component a surgery removed or duplicated (edge index)."""
-
-    removed_component: int | None = None
-    duplicated_component: int | None = None
-
-    def __post_init__(self):
-        if self.removed_component is not None and self.duplicated_component is not None:
-            raise ValueError("a surgery removes or duplicates, never both")
-
-
 class DiagramSpec:
     """A validated diagram: arcs, their edges, crossings and vertices."""
 
@@ -165,13 +153,11 @@ def parse_diagram(text: str) -> DiagramSpec:
                 raise ParseError(f"bad arc count {rest!r}", lineno, 1) from None
         elif key == "edge":
             for item in rest.split():
-                arc_str, sep2, edge_str = item.partition(":")
+                arc_str, _, edge_str = item.partition(":")  # no ':' leaves edge_str empty
                 try:
                     arc_edge[int(arc_str)] = int(edge_str)
                 except ValueError:
                     raise ParseError(f"bad edge assignment {item!r}", lineno, 1) from None
-                if not sep2:
-                    raise ParseError(f"bad edge assignment {item!r}", lineno, 1)
         elif key == "labels":
             labels = parse_labels(rest, lineno)
         elif key.startswith("xing"):
@@ -271,7 +257,7 @@ def _chain_terminal_arc(spec: DiagramSpec, edge: int) -> int:
     return min(terminal)
 
 
-def subdivide_edge(spec: DiagramSpec, edge: int) -> tuple[DiagramSpec, SurgeryReport]:
+def subdivide_edge(spec: DiagramSpec, edge: int) -> DiagramSpec:
     """Insert a degree-2 vertex on an edge, splitting it in two.
 
     Both halves keep the edge's label; the new half is a short stub at
@@ -289,11 +275,6 @@ def subdivide_edge(spec: DiagramSpec, edge: int) -> tuple[DiagramSpec, SurgeryRe
     arc_edge[new_arc] = edge + 1
     labels = spec.labels[:edge] + (spec.labels[edge - 1],) + spec.labels[edge:]
 
-    crossings = []
-    for x in spec.crossings:
-        if x.under_in == split_arc:
-            x = Crossing(x.sign, x.over, new_arc, x.under_out)
-        crossings.append(x)
     vertices = []
     moved = False
     for incidences in spec.vertices:
@@ -307,11 +288,11 @@ def subdivide_edge(spec: DiagramSpec, edge: int) -> tuple[DiagramSpec, SurgeryRe
         vertices.append(tuple(fixed))
     vertices.append(((split_arc, 1), (new_arc, -1)))
 
-    out = DiagramSpec(new_arc, arc_edge, EdgeLabeling(labels), crossings, vertices)
-    return out, SurgeryReport(duplicated_component=edge)
+    # no crossing takes split_arc as its under_in, so the crossings stand
+    return DiagramSpec(new_arc, arc_edge, EdgeLabeling(labels), spec.crossings, vertices)
 
 
-def delete_edge(spec: DiagramSpec, edge: int) -> tuple[DiagramSpec, SurgeryReport]:
+def delete_edge(spec: DiagramSpec, edge: int) -> DiagramSpec:
     """Remove an edge from the diagram.
 
     Crossings whose over arc lies on the edge are resolved by splicing
@@ -376,5 +357,4 @@ def delete_edge(spec: DiagramSpec, edge: int) -> tuple[DiagramSpec, SurgeryRepor
         arc_edge[renumber[arc]] = e - 1 if e > edge else e
     labels = spec.labels[: edge - 1] + spec.labels[edge:]
 
-    out = DiagramSpec(len(survivors), arc_edge, EdgeLabeling(labels), new_crossings, new_vertices)
-    return out, SurgeryReport(removed_component=edge)
+    return DiagramSpec(len(survivors), arc_edge, EdgeLabeling(labels), new_crossings, new_vertices)

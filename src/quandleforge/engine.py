@@ -1,8 +1,8 @@
 """Trace-and-collapse enumeration of N-quandle Cayley graphs.
 
-Given an expanded presentation, the engine builds the Cayley graph of the
-quandle: one vertex per element, and for each generator g a bijection
-sending x to x acted on by g.  The construction follows Winker's method:
+Given a presentation, the engine builds the Cayley graph of the quandle:
+one vertex per element, and for each generator g a bijection sending x
+to x acted on by g.  The construction follows Winker's method:
 
 1. start with one vertex per generator,
 2. add a g-labeled loop at the vertex of g (idempotence),
@@ -15,7 +15,9 @@ sending x to x acted on by g.  The construction follows Winker's method:
 4. collapsing identifies same-labeled edges into or out of a shared
    vertex, cascading until every action is single-valued,
 5. sweep the vertices once in creation order, tracing every universal
-   relation by the same scan as a closed loop at each live vertex
+   relation of ``expand_relations(pres)`` (the presentation's own, the
+   conjugate of each primary and the power relation g^n of each
+   generator) by the same scan as a closed loop at each live vertex
    (collapsing after each trace).
 
 One pass suffices.  A universal loop closed at a vertex stays closed in
@@ -380,7 +382,7 @@ class CayleyGraph:
         compacted if at least ``_CHUNK`` rows are dead and dead rows
         outnumber live ones."""
         pres, stats = self.pres, self.stats
-        universals = [self.letters(rel.word) for rel in pres.universals]
+        universals = [self.letters(rel.word) for rel in expand_relations(pres).universals]
         try:
             for rel in pres.primaries:
                 start = self.basepoint[rel.lhs_base.id]
@@ -435,10 +437,10 @@ class CayleyGraph:
 
 
 def enumerate_quandle(pres: Presentation, limits: EnumerationLimits | None = None) -> EnumerationResult:
-    """Run Winker's method on an expanded presentation.
+    """Run Winker's method on a presentation as given.
 
-    The presentation must already carry its secondary and power relations
-    (see :func:`quandleforge.presentation.expand_relations`).  Returns the
+    The sweep traces the universal relations of ``expand_relations(pres)``,
+    so the caller need not expand the presentation.  Returns the
     finished :class:`Quandle`, or a limit-exceeded report with partial
     statistics; hitting a limit is a report, not an error.
     """
@@ -446,11 +448,9 @@ def enumerate_quandle(pres: Presentation, limits: EnumerationLimits | None = Non
     if not graph.run():
         return EnumerationResult("limit-exceeded", None, graph.stats)
     quandle = graph.finalize()
+    # the power loop g^n closes at every live vertex, so a completed run is total
     if (quandle.actions < 0).any() or (quandle.inverses < 0).any():
-        raise ValueError(
-            "completed enumeration left a partial action: the presentation lacks "
-            "power relations; pass it through expand_relations first"
-        )
+        raise RuntimeError("completed enumeration left a partial action")
     # cheap end-to-end re-check of the primaries, catching trace bugs early
     bases = quandle.basepoint
     for rel in pres.primaries:
@@ -468,9 +468,9 @@ def _flatten(parent: np.ndarray) -> np.ndarray:
         parent = jumped
 
 
-def _orbits(quandle: Quandle) -> tuple[np.ndarray, dict[int, int]]:
+def _orbits(quandle: Quandle) -> np.ndarray:
     """The orbit of every element under the actions, named by its smallest
-    element, and the component size of each graph edge.
+    element.
 
     Each round hooks the larger root of every edge that joins two trees
     onto the smaller one, then flattens the trees; every pointer goes to
@@ -486,18 +486,9 @@ def _orbits(quandle: Quandle) -> tuple[np.ndarray, dict[int, int]]:
         a, b = root[src], root[dst]
         split = a != b
         if not split.any():
-            break
+            return root
         np.minimum.at(root, np.maximum(a, b)[split], np.minimum(a, b)[split])
         root = _flatten(root)
-    sizes = np.bincount(root, minlength=n)
-    edge_sizes: dict[int, int] = {}
-    for gen in quandle.gens:
-        edge = quandle.pres.edge_of[gen]
-        size = int(sizes[root[quandle.basepoint[gen.id]]])
-        if edge in edge_sizes and edge_sizes[edge] != size:
-            raise ValueError(f"edge {edge} maps to components of different sizes")
-        edge_sizes[edge] = size
-    return root, edge_sizes
 
 
 def components(quandle: Quandle):
@@ -506,9 +497,17 @@ def components(quandle: Quandle):
     Returns ``(orbits, edge_sizes)`` where orbits is a list of lists of
     element indices (each sorted, ordered by smallest member) and
     edge_sizes maps each graph edge index to the size of the component
-    containing that edge's generators.
+    containing that edge's generators.  Raises ValueError when the
+    generators of one edge lie in components of different sizes.
     """
-    root, edge_sizes = _orbits(quandle)
+    root = _orbits(quandle)
+    sizes = np.bincount(root, minlength=len(root))
+    edge_sizes: dict[int, int] = {}
+    for gen in quandle.gens:
+        edge = quandle.pres.edge_of[gen]
+        size = int(sizes[root[quandle.basepoint[gen.id]]])
+        if edge_sizes.setdefault(edge, size) != size:
+            raise ValueError(f"edge {edge} maps to components of different sizes")
     by_orbit = np.argsort(root, kind="stable")
     cuts = np.flatnonzero(np.diff(root[by_orbit])) + 1
     # an empty quandle splits into one empty part, which is no orbit
@@ -757,7 +756,7 @@ def verify(quandle: Quandle, pres: Presentation) -> list[str]:
         if open_at.size:
             violations.append(f"universal relation {rel} open at element {open_at[0]}")
 
-    root, _ = _orbits(quandle)
+    root = _orbits(quandle)
     orbit_label: dict[int, int] = {}
     for g, gen in enumerate(gens):
         want = pres.label_of(gen)

@@ -8,11 +8,11 @@ integer label per edge, and two kinds of relations:
 * universal relations x^w = x      (vertex relations, power relations,
   and the conjugates of primaries), imposed on every element.
 
-:func:`expand_relations` turns a parsed presentation into the fully
-expanded form the enumeration engine consumes: each primary contributes
-the universal relation w' x_j w x_k', and each generator g on edge i
-contributes the power relation g^(n_i).  Labels equal to 1 are expanded
-like any other and simply force x^g = x.
+:func:`expand_relations` closes the universal relations, as the
+enumeration engine and the verifier do for themselves: each primary
+contributes the universal relation w' x_j w x_k', and each generator g
+on edge i contributes the power relation g^(n_i).  Labels equal to 1 are
+expanded like any other and simply force x^g = x.
 
 Text format (line oriented, ``#`` starts a comment)::
 
@@ -148,7 +148,10 @@ class Presentation:
         return self.labeling.of_edge(self.edge_of[gen])
 
     def with_labels(self, labels) -> "Presentation":
-        """The same presentation under a different edge labeling."""
+        """The same presentation under a different edge labeling.
+
+        Relabel before expanding: stored power relations keep the old labels.
+        """
         return Presentation(
             self.generators,
             self.edge_of,
@@ -195,7 +198,7 @@ def expand_relations(pres: Presentation) -> Presentation:
     Adds the secondary relation of each primary and the power relation of
     each generator, drops vacuous relations, and deduplicates by exact
     word equality.  Primaries are retained so the engine can trace them.
-    Idempotent.
+    Idempotent, and the universals given keep their order at the front.
     """
     seen: set[GroupWord] = set()
     universals: list[UniversalRelation] = []

@@ -180,9 +180,8 @@ def test_criterion_6_structural_lemmas():
     ]
     for spec, edge in subdivision_battery:
         before, edge_sizes = _diagram_quandle(spec)
-        out, rep = subdivide_edge(spec, edge)
-        after, _ = _diagram_quandle(out)
-        if after != before + edge_sizes[edge] or rep.duplicated_component != edge:
+        after, _ = _diagram_quandle(subdivide_edge(spec, edge))
+        if after != before + edge_sizes[edge]:
             failures.append(("subdivide", spec, edge, before, after))
 
     # deletion with a unit label: size drops by exactly that component
@@ -195,9 +194,8 @@ def test_criterion_6_structural_lemmas():
     ]
     for spec, edge in deletion_battery:
         before, edge_sizes = _diagram_quandle(spec)
-        out, rep = delete_edge(spec, edge)
-        after, _ = _diagram_quandle(out)
-        if after != before - edge_sizes[edge] or rep.removed_component != edge:
+        after, _ = _diagram_quandle(delete_edge(spec, edge))
+        if after != before - edge_sizes[edge]:
             failures.append(("delete", edge, before, after))
 
     # divisor labelings never grow the quandle

@@ -226,6 +226,26 @@ def test_out_of_memory_exits_one(capsys, monkeypatch):
     assert err == "error: out of memory: Unable to allocate 2.16 GiB\n"
 
 
+def test_enumerate_emits_then_exits_one_on_a_violation(capsys, monkeypatch):
+    monkeypatch.setattr("quandleforge.cli.verify", lambda graph, pres: ["a", "b"])
+    code, out, err = invoke(capsys, "enumerate", "--family", "theta3", "--labels", "3,3,2")
+    assert code == 1
+    assert "final_size=14\n" in out
+    assert err == "verify: a\nverify: b\n"
+
+
+def test_verify_on_a_limit_exits_two_with_stats(capsys):
+    code, out, err = invoke(capsys, "verify", "--family", "K4knot", "--max-vertices", "5000")
+    assert code == 2
+    assert err == ""
+    lines = out.splitlines()
+    assert lines[0] == "outcome=limit-exceeded"
+    assert "vertices_created=5000" in lines
+    assert [line.split("=")[0] for line in lines[1:]] == [
+        "vertices_created", "merges", "relations_traced", "steps", "live",
+    ]
+
+
 def test_python_dash_m():
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     proc = subprocess.run(

@@ -9,6 +9,9 @@ only shrink the quandle.
 import pytest
 
 from quandleforge import (
+    Crossing,
+    DiagramSpec,
+    EdgeLabeling,
     EnumerationLimits,
     ParseError,
     components,
@@ -22,6 +25,7 @@ from quandleforge import (
     wirtinger,
 )
 from quandleforge.families import load_diagram_text
+from quandleforge.words import FieldError
 
 UNKNOT = "arcs: 1\nedge: 1:1\nlabels: 4\n"
 
@@ -108,8 +112,39 @@ def test_parse_rejects_comma_labels():
          "line 5, col 1: dangling arc 2 in vertex"),
         ("arcs: 1\nedge: 1:1\nlabels: 2\nvertex: 1+\nvertex: 1+\n",
          "line 5, col 1: dangling arc 1: an end is used more than once"),
+        ("# arcs\narcs: x\n", "line 2, col 1: bad arc count 'x'"),
+        ("# arcs\narcs: -1\nlabels:\n", "line 2, col 1: arc count must be >= 0"),
+        ("arcs: 1\nedge: 1:a\n", "line 2, col 1: bad edge assignment '1:a'"),
+        ("arcs: 1\nedge: 1\n", "line 2, col 1: bad edge assignment '1'"),
+        ("arcs: 1\nedge: 1:2\nlabels: 2\n", "line 2, col 1: arc 1 assigned to edge 2, but only 1 labels given"),
+        ("arcs: 1\nedge: 1:1 2:1\nlabels: 2\n", "line 2, col 1: dangling arc 2 in edge map"),
+        ("arcs: 1\nedge: 1:1\nlabels: 2\nxing : over=1 in=1 out=1\n",
+         "line 4, col 1: crossing needs a sign, got 'xing'"),
+        ("arcs: 1\nedge: 1:1\nlabels: 2\nxing + : over=1 in=1 up=1\n",
+         "line 4, col 1: bad crossing field 'up=1'"),
+        ("arcs: 1\nedge: 1:1\nlabels: 2\nxing + : over in=1 out=1\n",
+         "line 4, col 1: bad crossing field 'over'"),
+        ("arcs: 1\nedge: 1:1\nlabels: 2\nxing + : over=x in=1 out=1\n",
+         "line 4, col 1: bad crossing field 'over=x'"),
+        ("arcs: 1\nedge: 1:1\nlabels: 2\nxing + : over=1 in=1\n",
+         "line 4, col 1: crossing needs over=, in= and out="),
+        ("arcs: 1\nedge: 1:1\nlabels: 2\nxing - : over=1 in=1 out=1\nxing + : over=5 in=1 out=1\n",
+         "line 5, col 1: dangling arc 5 in crossing"),
+        ("arcs: 1\nedge: 1:1\nlabels: 2\nvertex: 1\n", "line 4, col 1: vertex arc '1' needs a +/- direction"),
+        ("arcs: 1\nedge: 1:1\nlabels: 2\nvertex: x+\n", "line 4, col 1: bad vertex arc 'x+'"),
+        ("arcs: 1\nedge: 1:1\nlabels: 2\nvertex: 1+\nvertex:\n", "line 5, col 1: vertex with no incident arcs"),
+        ("arcs: 1\nedge: 1:1\nlabels: 2\nvertices: 1+\n", "line 4, col 1: unknown key 'vertices'"),
+        ("edge: 1:1\nlabels: 2\n", "line 1, col 1: missing 'arcs:' line"),
+        ("arcs: 1\nedge: 1:1\n", "line 1, col 1: missing 'labels:' line"),
     ],
-    ids=["stray-label", "arc-without-edge", "no-edge-line", "crossing", "vertex", "end-used-twice"],
+    ids=[
+        "stray-label", "arc-without-edge", "no-edge-line", "crossing", "vertex", "end-used-twice",
+        "bad-arc-count", "negative-arc-count", "bad-edge-index", "edge-without-colon",
+        "edge-beyond-labels", "edge-map-dangling-arc", "unsigned-crossing", "unknown-crossing-field",
+        "crossing-field-without-value", "bad-crossing-value", "missing-crossing-field",
+        "crossing-dangling-arc", "vertex-arc-without-direction", "bad-vertex-arc", "empty-vertex",
+        "unknown-key", "missing-arcs", "missing-labels",
+    ],
 )
 def test_parse_errors_point_at_their_line(text, where):
     """Errors found once the whole file is read point at the line that
@@ -117,6 +152,18 @@ def test_parse_errors_point_at_their_line(text, where):
     with pytest.raises(ParseError) as err:
         parse_diagram(text)
     assert str(err.value) == where
+
+
+@pytest.mark.parametrize("crossings, vertices, message, key", [
+    ([Crossing(0, 1, 1, 1)], [], "crossing sign must be +1 or -1, got 0", "xing"),
+    ([], [((1, 0),)], "vertex direction must be +1 or -1, got 0", "vertex"),
+])
+def test_spec_rejects_bad_signs(crossings, vertices, message, key):
+    """The parser reads only + and -, so these faults reach only a spec
+    built directly."""
+    with pytest.raises(FieldError) as err:
+        DiagramSpec(1, {1: 1}, EdgeLabeling((2,)), crossings, vertices)
+    assert (str(err.value), err.value.key, err.value.index) == (message, key, 0)
 
 
 def test_wirtinger_unknot():
@@ -149,16 +196,14 @@ vertex: 1- 2- 3-
 
 
 def test_subdivide_unknot():
-    spec, report = subdivide_edge(parse_diagram(UNKNOT), 1)
+    spec = subdivide_edge(parse_diagram(UNKNOT), 1)
     assert spec.arc_count == 2
     assert len(spec.vertices) == 1
     assert spec.labels == (4, 4)
-    assert report.duplicated_component == 1
-    assert report.removed_component is None
 
 
 def test_subdivide_theta_reindexes_labels():
-    out, _ = subdivide_edge(parse_diagram(load_diagram_text("theta3")), 1)
+    out = subdivide_edge(parse_diagram(load_diagram_text("theta3")), 1)
     assert out.labels == (3, 3, 3, 2)
     assert out.arc_count == 4
 
@@ -182,10 +227,9 @@ xing + : over=3 in=1 out=2
 
 
 def test_delete_only_edge_of_unknot():
-    out, report = delete_edge(parse_diagram(UNKNOT), 1)
+    out = delete_edge(parse_diagram(UNKNOT), 1)
     assert out.arc_count == 0
     assert out.labels == ()
-    assert report.removed_component == 1
     assert enum_size(out) == 0
     pres = expand_relations(wirtinger(out))
     quandle = enumerate_quandle(pres).graph
@@ -214,8 +258,7 @@ def test_delete_over_strand_merges_under_arcs():
     # deleting one component of the doubly linked pair splices the other
     # component's two arcs back into a crossingless unknot
     spec = parse_diagram(TWO_LINKED)
-    out, report = delete_edge(spec, 2)
-    assert report.removed_component == 2
+    out = delete_edge(spec, 2)
     assert out.arc_count == 1
     assert out.crossings == ()
     assert out.labels == (2,)
@@ -224,8 +267,7 @@ def test_delete_over_strand_merges_under_arcs():
 
 def test_delete_hopf_component():
     spec = parse_diagram(load_diagram_text("hopf"))
-    out, report = delete_edge(spec, 2)
-    assert report.removed_component == 2
+    out = delete_edge(spec, 2)
     assert (out.arc_count, out.crossings, out.labels) == (1, (), (2,))
     assert enum_size(out) == 1
 
@@ -252,8 +294,7 @@ def test_subdivision_size_identity(case):
     """Subdividing edge e adds exactly one isomorphic copy of e's component."""
     spec, edge = list(battery_subdivision_cases())[case]
     before, _, edge_sizes = edge_component_sizes(spec)
-    out, report = subdivide_edge(spec, edge)
-    assert report.duplicated_component == edge
+    out = subdivide_edge(spec, edge)
     after = enum_size(out)
     assert after == before + edge_sizes[edge]
 
@@ -262,15 +303,14 @@ def test_delete_equality_with_unit_label():
     """With n_e = 1 deletion removes exactly e's component: theta to digon."""
     labeled = parse_diagram(load_diagram_text("theta3")).with_labels((3, 3, 1))
     before, _, edge_sizes = edge_component_sizes(labeled)
-    out, report = delete_edge(labeled, 3)
-    assert report.removed_component == 3
+    out = delete_edge(labeled, 3)
     assert enum_size(out) == before - edge_sizes[3]
 
 
 def test_delete_equality_hopf():
     labeled = parse_diagram(load_diagram_text("hopf")).with_labels((2, 1))
     before, _, edge_sizes = edge_component_sizes(labeled)
-    out, _ = delete_edge(labeled, 2)
+    out = delete_edge(labeled, 2)
     assert enum_size(out) == before - edge_sizes[2]
 
 

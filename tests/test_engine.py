@@ -27,6 +27,7 @@ from quandleforge import (
     wirtinger,
 )
 from quandleforge import engine
+from quandleforge.cli import export_json
 from quandleforge.engine import CayleyGraph, _LimitHit
 from quandleforge.families import load_diagram_text, table1_rows
 from quandleforge.presentation import UniversalRelation
@@ -179,6 +180,17 @@ def test_limit_exceeded_is_report_not_error():
     assert res.graph is None
     assert res.stats.vertices_created >= 10000
     assert res.stats.live > 0
+
+
+def test_step_limit_hit_inside_collapse():
+    # empty-word primaries trace for free, so the second one's merge is the
+    # step past the budget, and collapse raises before making it
+    pres = parse_presentation("gens: a b c\nedges: a:1 b:2 c:3\nlabels: 2 2 2\nrel a : = b\nrel a : = c\n")
+    res = enumerate_quandle(pres, EnumerationLimits(100, 1))
+    assert res.outcome == "limit-exceeded"
+    assert res.stats.as_dict() == dict(
+        vertices_created=3, merges=1, relations_traced=1, steps=2, live=2
+    )
 
 
 def _fresh_graph(cls=CayleyGraph):
@@ -377,6 +389,18 @@ def test_verify_passes_on_h1():
     res = enumerate_ok(pres)
     assert res.stats.live == 32
     assert verify(res.graph, pres) == []
+
+
+def test_verify_reports_on_an_edge_split_across_components():
+    """Generators of one edge may lie in components of different sizes:
+    verify still returns its report, and only components, which sizes
+    each edge, refuses."""
+    pres = parse_presentation("gens: a b\nedges: a:1 b:1\nlabels: 2\nrel a : b = a\n")
+    res = enumerate_ok(pres)
+    assert res.stats.live == 3
+    assert verify(res.graph, pres) == []
+    with pytest.raises(ValueError, match="edge 1 maps to components of different sizes"):
+        components(res.graph)
 
 
 def _swapped_entries_fault():
@@ -662,11 +686,29 @@ def test_vacuous_universal_dropped_and_empty_primary_merges():
     assert res.stats.live == 1
 
 
-def test_unexpanded_presentation_names_expand_relations():
-    # no power relations for b and c, so their actions stay partial
-    pres = parse_presentation("gens: a b c\nedges: a:1 b:2 c:3\nlabels: 2 2 2\nrel * : a a\n")
-    with pytest.raises(ValueError, match="expand_relations"):
-        enumerate_quandle(pres, EnumerationLimits(1000, 10**6))
+def raw_presentations():
+    for row in table1_rows():
+        if not row.get("slow"):
+            yield family_presentation(FamilyParams(row["family"], labels=tuple(row["labels"])))
+    for name in ("theta3", "h1", "kt", "hopf", "k4planar", "dh"):
+        yield wirtinger(parse_diagram(load_diagram_text(name)))
+
+
+def test_raw_and_expanded_presentations_enumerate_alike():
+    """The engine expands its input itself, and expanding is idempotent
+    and keeps the order of the universals, so a presentation and its
+    expansion give the same numbering, counters and export."""
+    cases = list(raw_presentations())
+    assert len(cases) == 26
+    for raw in cases:
+        expanded = expand_relations(raw)
+        assert len(expanded.universals) > len(raw.universals)
+        got, want = enumerate_ok(raw, 10**6), enumerate_ok(expanded, 10**6)
+        for field in ("actions", "inverses", "basepoint"):
+            assert np.array_equal(getattr(got.graph, field), getattr(want.graph, field)), raw
+        assert got.stats == want.stats
+        assert export_json(got.graph, raw, got.stats) == export_json(want.graph, expanded, want.stats)
+        assert got.graph.pres is raw
 
 
 def test_limits_reject_vertex_ids_beyond_int32():

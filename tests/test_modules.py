@@ -37,3 +37,25 @@ def test_no_module_imports_a_private_name_of_another():
     assert modules
     for path in modules:
         assert private_imports(path.read_text(encoding="utf-8")) == [], path.name
+
+
+def expand_calls(source: str) -> int:
+    """How many calls to ``expand_relations`` a module's source makes."""
+    return sum(
+        isinstance(node, ast.Call)
+        and (getattr(node.func, "id", None) or getattr(node.func, "attr", None)) == "expand_relations"
+        for node in ast.walk(ast.parse(source))
+    )
+
+
+def test_expand_calls_are_counted():
+    assert expand_calls("x = expand_relations(p)\ny = presentation.expand_relations(q)\n") == 2
+    assert expand_calls("from .presentation import expand_relations\nf = expand_relations\n") == 0
+
+
+def test_only_the_engine_expands_relations():
+    """The engine derives the loops a presentation implies, so no other
+    module expands one before handing it over."""
+    calls = {path.name: expand_calls(path.read_text(encoding="utf-8")) for path in sorted(PACKAGE.glob("*.py"))}
+    assert calls["engine.py"] > 0
+    assert {name for name, count in calls.items() if count} == {"engine.py"}
