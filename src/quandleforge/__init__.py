@@ -15,18 +15,14 @@ from .words import (
     act,
     invert,
     parse_word,
-    power_word,
 )
 from .presentation import (
-    EdgeLabeling,
     Presentation,
     PrimaryRelation,
     UniversalRelation,
     expand_relations,
     parse_presentation,
-    power_relations,
     render_presentation,
-    secondary_of,
 )
 from .engine import (
     CayleyGraph,

@@ -127,7 +127,7 @@ def export_dot(quandle: Quandle, no_loops: bool = False) -> str:
     edge per (element, generator), colored by generator."""
     lines = ["digraph quandle {"]
     lines += [f'  n{i} [label="{i}"];' for i in range(quandle.actions.shape[1])]
-    for g, (gen, row) in enumerate(zip(quandle.gens, quandle.actions.tolist())):
+    for g, (gen, row) in enumerate(zip(quandle.pres.generators, quandle.actions.tolist())):
         attrs = f'[label="{gen.name}" color="{DOT_COLORS[g % len(DOT_COLORS)]}"];'
         lines += [f"  n{i} -> n{j} {attrs}" for i, j in enumerate(row) if not (no_loops and i == j)]
     lines.append("}")
@@ -138,7 +138,7 @@ def export_json(quandle: Quandle, pres: Presentation, stats) -> str:
     """Stable JSON export: size, labels, components and generator actions."""
     orbits, edge_sizes = components(quandle)
     orbit_of = {x: orbit for orbit in orbits for x in orbit}
-    members = {pres.edge_of[gen]: orbit_of[int(quandle.basepoint[gen.id])] for gen in quandle.gens}
+    members = {pres.edge_of[gen]: orbit_of[int(quandle.basepoint[gen.id])] for gen in quandle.pres.generators}
     doc = {
         "size": quandle.actions.shape[1],
         "edge_labels": list(pres.labels),
@@ -150,7 +150,7 @@ def export_json(quandle: Quandle, pres: Presentation, stats) -> str:
             }
             for edge in sorted(edge_sizes)
         ],
-        "actions": {gen.name: row for gen, row in zip(quandle.gens, quandle.actions.tolist())},
+        "actions": {gen.name: row for gen, row in zip(quandle.pres.generators, quandle.actions.tolist())},
         "stats": stats.as_dict(),
     }
     return json.dumps(doc, indent=2) + "\n"

@@ -33,8 +33,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .presentation import EdgeLabeling, Presentation, PrimaryRelation, UniversalRelation
-from .words import FieldError, GeneratorSymbol, GroupWord, Letter, ParseError, parse_labels, read_key_lines
+from .presentation import Presentation, PrimaryRelation, UniversalRelation
+from .words import (
+    FieldError,
+    GeneratorSymbol,
+    GroupWord,
+    Letter,
+    ParseError,
+    check_labels,
+    parse_labels,
+    read_key_lines,
+)
 
 
 @dataclass(frozen=True)
@@ -48,34 +57,24 @@ class Crossing:
 
 
 class DiagramSpec:
-    """A validated diagram: arcs, their edges, crossings and vertices."""
+    """A validated diagram: arcs, their edges, edge labels, crossings and vertices."""
 
-    def __init__(self, arc_count, arc_edge, labeling, crossings=(), vertices=()):
+    def __init__(self, arc_count, arc_edge, labels, crossings=(), vertices=()):
         self.arc_count = arc_count
         self.arc_edge = dict(arc_edge)
-        self.labeling = labeling
+        self.labels: tuple[int, ...] = tuple(labels)
         self.crossings: tuple[Crossing, ...] = tuple(crossings)
         self.vertices: tuple[tuple[tuple[int, int], ...], ...] = tuple(
             tuple(v) for v in vertices
         )
         self._validate()
 
-    @property
-    def labels(self) -> tuple[int, ...]:
-        return self.labeling.labels
-
-    def edge_count(self) -> int:
-        return len(self.labeling)
-
     def arcs_of_edge(self, edge: int) -> list[int]:
         return [a for a in range(1, self.arc_count + 1) if self.arc_edge[a] == edge]
 
     def with_labels(self, labels) -> "DiagramSpec":
         """The same diagram under a different edge labeling."""
-        return DiagramSpec(
-            self.arc_count, self.arc_edge, EdgeLabeling(tuple(labels)),
-            self.crossings, self.vertices,
-        )
+        return DiagramSpec(self.arc_count, self.arc_edge, labels, self.crossings, self.vertices)
 
     def _check_arc(self, arc: int, where: str, key: str, index: int = -1):
         if not 1 <= arc <= self.arc_count:
@@ -85,9 +84,10 @@ class DiagramSpec:
         """Raise :class:`FieldError` naming the field (``arcs``, ``edge``,
         ``labels``, the i-th ``xing`` or ``vertex``) that holds the first
         fault found."""
+        check_labels(self.labels)
         if self.arc_count < 0:
             raise FieldError("arc count must be >= 0", "arcs")
-        k = len(self.labeling)
+        k = len(self.labels)
         for arc in range(1, self.arc_count + 1):
             edge = self.arc_edge.get(arc)
             if edge is None:
@@ -130,7 +130,7 @@ class DiagramSpec:
 
     def __repr__(self) -> str:
         return (
-            f"DiagramSpec({self.arc_count} arcs, {self.edge_count()} edges, "
+            f"DiagramSpec({self.arc_count} arcs, {len(self.labels)} edges, "
             f"{len(self.crossings)} crossings, {len(self.vertices)} vertices)"
         )
 
@@ -202,7 +202,7 @@ def parse_diagram(text: str) -> DiagramSpec:
     if labels is None:
         raise ParseError("missing 'labels:' line")
     try:
-        return DiagramSpec(arc_count, arc_edge, EdgeLabeling(labels), crossings, vertices)
+        return DiagramSpec(arc_count, arc_edge, labels, crossings, vertices)
     except FieldError as exc:
         # with no edge line at all, a missing arc is blamed on the arcs line
         line = lines.get(exc.key, lines["arcs"])[exc.index]
@@ -232,7 +232,7 @@ def wirtinger(spec: DiagramSpec) -> Presentation:
         if word:
             universals.append(UniversalRelation(word))
     edge_of = {gen(arc): spec.arc_edge[arc] for arc in range(1, spec.arc_count + 1)}
-    return Presentation(gens, edge_of, spec.labeling, primaries, universals)
+    return Presentation(gens, edge_of, spec.labels, primaries, universals)
 
 
 def _chain_terminal_arc(spec: DiagramSpec, edge: int) -> int:
@@ -264,7 +264,7 @@ def subdivide_edge(spec: DiagramSpec, edge: int) -> DiagramSpec:
     the split arc's terminal end and gets the edge index directly after
     its parent (later edges shift up by one).
     """
-    if not 1 <= edge <= spec.edge_count():
+    if not 1 <= edge <= len(spec.labels):
         raise ValueError(f"no edge {edge} to subdivide")
     split_arc = _chain_terminal_arc(spec, edge)
     new_arc = spec.arc_count + 1
@@ -289,7 +289,7 @@ def subdivide_edge(spec: DiagramSpec, edge: int) -> DiagramSpec:
     vertices.append(((split_arc, 1), (new_arc, -1)))
 
     # no crossing takes split_arc as its under_in, so the crossings stand
-    return DiagramSpec(new_arc, arc_edge, EdgeLabeling(labels), spec.crossings, vertices)
+    return DiagramSpec(new_arc, arc_edge, labels, spec.crossings, vertices)
 
 
 def delete_edge(spec: DiagramSpec, edge: int) -> DiagramSpec:
@@ -301,7 +301,7 @@ def delete_edge(spec: DiagramSpec, edge: int) -> DiagramSpec:
     incidences (and vanish if nothing remains); the labeling shrinks and
     later edges shift down by one.
     """
-    if not 1 <= edge <= spec.edge_count():
+    if not 1 <= edge <= len(spec.labels):
         raise ValueError(f"no edge {edge} to delete")
     dead_arcs = set(spec.arcs_of_edge(edge))
 
@@ -357,4 +357,4 @@ def delete_edge(spec: DiagramSpec, edge: int) -> DiagramSpec:
         arc_edge[renumber[arc]] = e - 1 if e > edge else e
     labels = spec.labels[: edge - 1] + spec.labels[edge:]
 
-    return DiagramSpec(len(survivors), arc_edge, EdgeLabeling(labels), new_crossings, new_vertices)
+    return DiagramSpec(len(survivors), arc_edge, labels, new_crossings, new_vertices)

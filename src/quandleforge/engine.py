@@ -129,10 +129,6 @@ class Quandle(NamedTuple):
     inverses: np.ndarray
     basepoint: np.ndarray
 
-    @property
-    def gens(self):
-        return self.pres.generators
-
     def follow(self, word, start):
         """The element(s) reached from ``start`` (an element or an array of
         elements) along a word of generator letters."""
@@ -498,16 +494,17 @@ def components(quandle: Quandle):
     element indices (each sorted, ordered by smallest member) and
     edge_sizes maps each graph edge index to the size of the component
     containing that edge's generators.  Raises ValueError when the
-    generators of one edge lie in components of different sizes.
+    generators of one edge lie in more than one component.
     """
     root = _orbits(quandle)
     sizes = np.bincount(root, minlength=len(root))
-    edge_sizes: dict[int, int] = {}
-    for gen in quandle.gens:
+    edge_roots: dict[int, int] = {}
+    for gen in quandle.pres.generators:
         edge = quandle.pres.edge_of[gen]
-        size = int(sizes[root[quandle.basepoint[gen.id]]])
-        if edge_sizes.setdefault(edge, size) != size:
-            raise ValueError(f"edge {edge} maps to components of different sizes")
+        r = int(root[quandle.basepoint[gen.id]])
+        if edge_roots.setdefault(edge, r) != r:
+            raise ValueError(f"edge {edge} maps to more than one component")
+    edge_sizes = {edge: int(sizes[r]) for edge, r in edge_roots.items()}
     by_orbit = np.argsort(root, kind="stable")
     cuts = np.flatnonzero(np.diff(root[by_orbit])) + 1
     # an empty quandle splits into one empty part, which is no orbit
@@ -727,7 +724,7 @@ def verify(quandle: Quandle, pres: Presentation) -> list[str]:
     """
     violations: list[str] = []
     actions, inverses = quandle.actions, quandle.inverses
-    bases, gens = quandle.basepoint, quandle.gens
+    bases, gens = quandle.basepoint, quandle.pres.generators
     n = actions.shape[1]
     identity = np.arange(n)
 
@@ -805,5 +802,5 @@ def canonical_code(quandle: Quandle, element: int) -> str:
     """Canonical code of the component of an element (a dense index, such
     as ``quandle.basepoint[g]``) of a finished quandle."""
     return canonical_code_of_actions(
-        quandle.actions, int(element), [gen.name for gen in quandle.gens]
+        quandle.actions, int(element), [gen.name for gen in quandle.pres.generators]
     )

@@ -26,10 +26,8 @@ from importlib import resources
 import numpy as np
 
 from .engine import canonical_code_of_actions
-from .presentation import EdgeLabeling, Presentation, UniversalRelation, parse_presentation
+from .presentation import Presentation, UniversalRelation, parse_presentation
 from .words import GeneratorSymbol, ParseError, parse_word
-
-FAMILY_NAMES = ("theta3", "KT", "H1", "H2", "DH", "K4planar", "K4knot", "Gkmn", "Gkm")
 
 _DATA_FILES = {
     "theta3": "presentations/theta3.txt",
@@ -40,6 +38,8 @@ _DATA_FILES = {
     "K4planar": "presentations/k4planar.txt",
     "K4knot": "presentations/k4knot.txt",
 }
+
+FAMILY_NAMES = (*_DATA_FILES, "Gkmn", "Gkm")
 
 GENERATOR_ORDER = "abcdef"
 
@@ -136,9 +136,7 @@ def _twist_presentation(params: FamilyParams) -> Presentation:
     gens = [GeneratorSymbol(i, name) for i, name in enumerate(names)]
     symbols = {g.name: g for g in gens}
     universals = [UniversalRelation(parse_word(text, symbols)) for text in words]
-    return Presentation(
-        gens, {g: i + 1 for i, g in enumerate(gens)}, EdgeLabeling(labels), universals=universals
-    )
+    return Presentation(gens, {g: i + 1 for i, g in enumerate(gens)}, labels, universals=universals)
 
 
 def family_presentation(params: FamilyParams) -> Presentation:

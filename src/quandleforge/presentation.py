@@ -1,18 +1,17 @@
-"""Quandle presentations with edge labelings.
+"""Quandle presentations with edge labels.
 
 A presentation has one generator per diagram arc (or per graph edge, for
-hand-reduced inputs), a map from generators to graph edges, a positive
-integer label per edge, and two kinds of relations:
+hand-reduced inputs), a map from generators to graph edges, a tuple of
+positive integer labels n_1..n_k indexed by edge, and two kinds of
+relations:
 
 * primary relations  x_j^w = x_k   (crossing relations), and
 * universal relations x^w = x      (vertex relations, power relations,
   and the conjugates of primaries), imposed on every element.
 
-:func:`expand_relations` closes the universal relations, as the
-enumeration engine and the verifier do for themselves: each primary
-contributes the universal relation w' x_j w x_k', and each generator g
-on edge i contributes the power relation g^(n_i).  Labels equal to 1 are
-expanded like any other and simply force x^g = x.
+:func:`expand_relations` is where the secondary and power relations are
+defined; the enumeration engine and the verifier read their loops from
+it.
 
 Text format (line oriented, ``#`` starts a comment)::
 
@@ -37,30 +36,12 @@ from .words import (
     GroupWord,
     Letter,
     ParseError,
+    check_labels,
     invert,
     parse_labels,
     parse_word,
-    power_word,
     read_key_lines,
 )
-
-
-@dataclass(frozen=True)
-class EdgeLabeling:
-    """Positive integer labels n_1..n_k indexed by graph edge (1-based)."""
-
-    labels: tuple[int, ...]
-
-    def __post_init__(self):
-        for i, n in enumerate(self.labels):
-            if n < 1:
-                raise ValueError(f"edge label n_{i + 1} must be >= 1, got {n}")
-
-    def __len__(self) -> int:
-        return len(self.labels)
-
-    def of_edge(self, edge: int) -> int:
-        return self.labels[edge - 1]
 
 
 @dataclass(frozen=True)
@@ -90,24 +71,25 @@ class UniversalRelation:
 
 
 class Presentation:
-    """A validated quandle presentation with an edge labeling."""
+    """A validated quandle presentation; ``labels[i - 1]`` is the label of edge i."""
 
     def __init__(
         self,
         generators,
         edge_of: dict[GeneratorSymbol, int],
-        labeling: EdgeLabeling,
+        labels,
         primaries=(),
         universals=(),
     ):
         self.generators: tuple[GeneratorSymbol, ...] = tuple(generators)
         self.edge_of = dict(edge_of)
-        self.labeling = labeling
+        self.labels: tuple[int, ...] = tuple(labels)
         self.primaries: tuple[PrimaryRelation, ...] = tuple(primaries)
         self.universals: tuple[UniversalRelation, ...] = tuple(universals)
         self._validate()
 
     def _validate(self):
+        check_labels(self.labels)
         names = set()
         for i, gen in enumerate(self.generators):
             if gen.id != i:
@@ -119,14 +101,14 @@ class Presentation:
         for gen in self.generators:
             edge = self.edge_of.get(gen)
             if edge is None:
-                raise FieldError(f"generator {gen.name!r} has no edge assignment", "edges")
-            if not 1 <= edge <= len(self.labeling):
+                raise FieldError(f"generator {gen.name!r} missing from 'edges:' map", "edges")
+            if not 1 <= edge <= len(self.labels):
                 raise FieldError(
-                    f"generator {gen.name!r} mapped to edge {edge}, but only {len(self.labeling)} labels given",
+                    f"generator {gen.name!r} mapped to edge {edge}, but only {len(self.labels)} labels given",
                     "edges",
                 )
         used_edges = {self.edge_of[gen] for gen in self.generators}
-        for edge in range(1, len(self.labeling) + 1):
+        for edge in range(1, len(self.labels) + 1):
             if edge not in used_edges:
                 raise FieldError(f"edge {edge} has no generator", "labels")
         for rel in self.primaries:
@@ -140,81 +122,43 @@ class Presentation:
                 if letter.gen not in known:
                     raise ValueError(f"universal relation {rel} uses unknown generator {letter.gen.name!r}")
 
-    @property
-    def labels(self) -> tuple[int, ...]:
-        return self.labeling.labels
-
     def label_of(self, gen: GeneratorSymbol) -> int:
-        return self.labeling.of_edge(self.edge_of[gen])
+        return self.labels[self.edge_of[gen] - 1]
 
     def with_labels(self, labels) -> "Presentation":
         """The same presentation under a different edge labeling.
 
         Relabel before expanding: stored power relations keep the old labels.
         """
-        return Presentation(
-            self.generators,
-            self.edge_of,
-            EdgeLabeling(tuple(labels)),
-            self.primaries,
-            self.universals,
-        )
+        return Presentation(self.generators, self.edge_of, labels, self.primaries, self.universals)
 
     def __repr__(self) -> str:
         return (
-            f"Presentation({len(self.generators)} gens, {len(self.labeling)} edges, "
+            f"Presentation({len(self.generators)} gens, {len(self.labels)} edges, "
             f"{len(self.primaries)} primary, {len(self.universals)} universal)"
         )
-
-
-def secondary_of(rel: PrimaryRelation) -> UniversalRelation | None:
-    """The universal relation y^(w' x_j w x_k') = y induced by a primary.
-
-    Returns None when the word reduces to nothing (a vacuous relation,
-    e.g. a^[a] = a); such relations are dropped by expansion.
-    """
-    word = (
-        invert(rel.word)
-        * GroupWord([Letter(rel.lhs_base, 1)])
-        * rel.word
-        * GroupWord([Letter(rel.rhs, -1)])
-    )
-    if not word:
-        return None
-    return UniversalRelation(word)
-
-
-def power_relations(pres: Presentation) -> list[UniversalRelation]:
-    """One relation x^(g^n) = x per generator g, n the label of g's edge."""
-    return [
-        UniversalRelation(power_word(gen, pres.label_of(gen)))
-        for gen in pres.generators
-    ]
 
 
 def expand_relations(pres: Presentation) -> Presentation:
     """Close the universal-relation list for enumeration.
 
-    Adds the secondary relation of each primary and the power relation of
-    each generator, drops vacuous relations, and deduplicates by exact
-    word equality.  Primaries are retained so the engine can trace them.
-    Idempotent, and the universals given keep their order at the front.
+    The universals given come first, in their order.  Then comes the
+    secondary relation of each primary x_j^w = x_k, in primary order: the
+    universal relation y^(w' x_j w x_k') = y.  Last comes the power
+    relation x^(g^n) = x of each generator g, in generator order, n the
+    label of g's edge; a label of 1 simply forces x^g = x.  A relation
+    whose word reduces to nothing (a vacuous one, e.g. from a^[a] = a) is
+    dropped, and a word already listed is not listed again.  Primaries
+    are retained so the engine can trace them.  Idempotent.
     """
-    seen: set[GroupWord] = set()
-    universals: list[UniversalRelation] = []
-
-    def add(rel: UniversalRelation | None):
-        if rel is not None and rel.word not in seen:
-            seen.add(rel.word)
-            universals.append(rel)
-
-    for rel in pres.universals:
-        add(rel)
-    for primary in pres.primaries:
-        add(secondary_of(primary))
-    for rel in power_relations(pres):
-        add(rel)
-    return Presentation(pres.generators, pres.edge_of, pres.labeling, pres.primaries, universals)
+    words = [rel.word for rel in pres.universals]
+    words += [
+        GroupWord([*invert(rel.word), Letter(rel.lhs_base, 1), *rel.word, Letter(rel.rhs, -1)])
+        for rel in pres.primaries
+    ]
+    words += [GroupWord([Letter(gen, 1)] * pres.label_of(gen)) for gen in pres.generators]
+    universals = [UniversalRelation(word) for word in dict.fromkeys(words) if word]
+    return Presentation(pres.generators, pres.edge_of, pres.labels, pres.primaries, universals)
 
 
 def parse_presentation(text: str) -> Presentation:
@@ -278,14 +222,11 @@ def parse_presentation(text: str) -> Presentation:
         raise ParseError("missing 'gens:' line", 1, 1)
     if labels is None:
         raise ParseError("missing 'labels:' line", 1, 1)
-    for gen in gens:
-        if gen not in edge_of:
-            line = line_of.get("edges", line_of["gens"])
-            raise ParseError(f"generator {gen.name!r} missing from 'edges:' map", line, 1)
     try:
-        return Presentation(gens, edge_of, EdgeLabeling(labels), primaries, universals)
+        return Presentation(gens, edge_of, labels, primaries, universals)
     except FieldError as exc:
-        raise ParseError(str(exc), line_of[exc.key], 1) from None
+        # with no edges line at all, a missing edge is blamed on the gens line
+        raise ParseError(str(exc), line_of.get(exc.key, line_of["gens"]), 1) from None
 
 
 def render_presentation(pres: Presentation) -> str:

@@ -11,7 +11,8 @@ in the package: generators are identifiers, a trailing apostrophe inverts,
 juxtaposition concatenates, and parenthesized groups may carry integer
 exponents, e.g. ``(ab)^3``, ``c^2``, ``(ab)^-1``.  Whitespace is ignored.
 The file formats also share their line reader (:func:`read_key_lines`)
-and their edge-label list (:func:`parse_labels`).
+and their edge-label list (:func:`parse_labels`), whose rule
+(:func:`check_labels`) the validated types apply too.
 """
 
 from __future__ import annotations
@@ -65,15 +66,23 @@ def read_key_lines(text: str) -> Iterator[tuple[int, str, str, int]]:
         yield lineno, key.strip(), value.strip(), raw.index(":") + 1
 
 
+def check_labels(labels: tuple[int, ...]) -> None:
+    """Raise :class:`FieldError` on ``labels`` unless every edge label is >= 1."""
+    for n in labels:
+        if n < 1:
+            raise FieldError(f"edge label must be >= 1, got {n}", "labels")
+
+
 def parse_labels(text: str, line: int = 1, col: int = 1) -> tuple[int, ...]:
     """A whitespace-separated list of edge labels n_1 n_2 ..., each >= 1."""
     try:
         labels = tuple(int(tok) for tok in text.split())
     except ValueError:
         raise ParseError(f"bad label list {text!r}", line, col) from None
-    for n in labels:
-        if n < 1:
-            raise ParseError(f"edge label must be >= 1, got {n}", line, col)
+    try:
+        check_labels(labels)
+    except FieldError as exc:
+        raise ParseError(str(exc), line, col) from None
     return labels
 
 
@@ -149,13 +158,6 @@ class GroupWord:
 def invert(word: GroupWord) -> GroupWord:
     """Reverse the word and flip every sign; an involution."""
     return GroupWord(letter.inverse() for letter in reversed(word.letters))
-
-
-def power_word(gen: GeneratorSymbol, n: int) -> GroupWord:
-    """The word g g ... g with n >= 1 copies of the generator."""
-    if n < 1:
-        raise ValueError(f"power must be >= 1, got {n}")
-    return GroupWord(Letter(gen, 1) for _ in range(n))
 
 
 @dataclass(frozen=True)

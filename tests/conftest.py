@@ -27,7 +27,7 @@ def brute_force_violations(quandle, pres) -> list[str]:
             break
     orbits, _ = components(quandle)
     orbit_of = {x: orbit for orbit in orbits for x in orbit}
-    for gen in quandle.gens:
+    for gen in quandle.pres.generators:
         columns = table[:, orbit_of[int(quandle.basepoint[gen.id])]]
         power = np.broadcast_to(identity[:, None], columns.shape)
         for _ in range(pres.label_of(gen)):

@@ -91,8 +91,8 @@ def test_json_round_trip_reproduces_canonical_code(capsys, tmp_path):
     )
     pres = expand_relations(family_presentation(FamilyParams("theta3", labels=(3, 3, 2))))
     quandle = enumerate_quandle(pres, EnumerationLimits(10000, 10**8)).graph
-    names = [g.name for g in quandle.gens]
-    for gen in quandle.gens:
+    names = [g.name for g in quandle.pres.generators]
+    for gen in quandle.pres.generators:
         base = int(quandle.basepoint[gen.id])
         assert canonical_code_of_actions(actions, base, names) == canonical_code(quandle, base)
 

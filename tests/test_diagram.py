@@ -11,7 +11,6 @@ import pytest
 from quandleforge import (
     Crossing,
     DiagramSpec,
-    EdgeLabeling,
     EnumerationLimits,
     ParseError,
     components,
@@ -162,7 +161,7 @@ def test_spec_rejects_bad_signs(crossings, vertices, message, key):
     """The parser reads only + and -, so these faults reach only a spec
     built directly."""
     with pytest.raises(FieldError) as err:
-        DiagramSpec(1, {1: 1}, EdgeLabeling((2,)), crossings, vertices)
+        DiagramSpec(1, {1: 1}, (2,), crossings, vertices)
     assert (str(err.value), err.value.key, err.value.index) == (message, key, 0)
 
 
@@ -276,7 +275,7 @@ def test_components_match_edges_on_battery():
     for name in ("theta3", "h1", "kt", "hopf", "k4planar", "dh"):
         spec = parse_diagram(load_diagram_text(name))
         size, orbit_count, edge_sizes = edge_component_sizes(spec)
-        assert orbit_count == spec.edge_count()
+        assert orbit_count == len(spec.labels)
         assert sum(edge_sizes.values()) == size
 
 

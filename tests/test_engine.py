@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quandleforge import (
-    EdgeLabeling,
     EnumerationLimits,
     FamilyParams,
     Presentation,
@@ -31,7 +30,7 @@ from quandleforge.cli import export_json
 from quandleforge.engine import CayleyGraph, _LimitHit
 from quandleforge.families import load_diagram_text, table1_rows
 from quandleforge.presentation import UniversalRelation
-from quandleforge.words import GeneratorSymbol, GroupWord, Letter
+from quandleforge.words import GeneratorSymbol, GroupWord, Letter, invert
 
 THETA = "gens: a b c\nedges: a:1 b:2 c:3\nlabels: 3 3 2\nrel * : a b c\n"
 
@@ -340,7 +339,7 @@ def test_relation_order_invariance():
     for _ in range(4):
         rng.shuffle(universals)
         shuffled = Presentation(
-            pres.generators, pres.edge_of, pres.labeling, pres.primaries, universals
+            pres.generators, pres.edge_of, pres.labels, pres.primaries, universals
         )
         assert enumerate_ok(shuffled).stats.live == base
 
@@ -377,7 +376,7 @@ def test_quandle_table_axioms_exhaustive():
 def test_generator_columns_match_actions():
     graph = enumerate_ok(theta()).graph
     table = quandle_table(graph)
-    for g, gen in enumerate(graph.gens):
+    for g, gen in enumerate(graph.pres.generators):
         b = graph.basepoint[gen.id]
         assert np.array_equal(table[:, b], graph.actions[g])
 
@@ -392,14 +391,20 @@ def test_verify_passes_on_h1():
 
 
 def test_verify_reports_on_an_edge_split_across_components():
-    """Generators of one edge may lie in components of different sizes:
-    verify still returns its report, and only components, which sizes
-    each edge, refuses."""
+    """Generators of one edge may lie in two components, of different or
+    of equal sizes: verify still returns its report, and only components,
+    which sizes each edge, refuses."""
     pres = parse_presentation("gens: a b\nedges: a:1 b:1\nlabels: 2\nrel a : b = a\n")
     res = enumerate_ok(pres)
     assert res.stats.live == 3
     assert verify(res.graph, pres) == []
-    with pytest.raises(ValueError, match="edge 1 maps to components of different sizes"):
+    with pytest.raises(ValueError, match="edge 1 maps to more than one component"):
+        components(res.graph)
+    pres = parse_presentation("gens: a b\nedges: a:1 b:1\nlabels: 1\n")
+    res = enumerate_ok(pres)
+    assert res.stats.live == 2
+    assert verify(res.graph, pres) == []
+    with pytest.raises(ValueError, match="edge 1 maps to more than one component"):
         components(res.graph)
 
 
@@ -629,7 +634,7 @@ def test_canonical_code_invariance_under_relabeling():
     for i, p in enumerate(perm):
         inv[p] = i
     relabeled = [np.array([perm[a[inv[i]]] for i in range(len(perm))]) for a in actions]
-    names = [g.name for g in graph.gens]
+    names = [g.name for g in graph.pres.generators]
     assert canonical_code_of_actions(relabeled, perm[base], names) == code
 
 
@@ -818,7 +823,7 @@ def small_presentations(draw):
         for w in draw(st.lists(word, max_size=1))
     ]
     edge_of = {gen: gen.id + 1 for gen in gens}
-    pres = Presentation(gens, edge_of, EdgeLabeling(tuple(labels)), primaries, universals)
+    pres = Presentation(gens, edge_of, labels, primaries, universals)
     return expand_relations(pres)
 
 
@@ -835,6 +840,30 @@ def test_gap_scan_matches_forward_only_walk_on_random_presentations(brute_force,
     # primary joining generators of unequal labels whatever the engine does
     if done and all(pres.label_of(r.lhs_base) == pres.label_of(r.rhs) for r in pres.primaries):
         assert verify(graph.finalize(), pres) == []
+
+
+def test_universal_rewrites_keep_sizes_on_random_presentations():
+    """Rotating a universal word by one letter (a conjugate), inverting
+    one, and reversing their order impose the same relations, so they
+    leave the size and the component sizes unchanged."""
+    completed = []
+
+    @settings(derandomize=True, database=None, max_examples=100, deadline=None)
+    @given(small_presentations())
+    def check(pres):
+        first, second, *rest = pres.universals
+        rotated = GroupWord(first.word.letters[1:] + first.word.letters[:1])
+        universals = [UniversalRelation(rotated), UniversalRelation(invert(second.word)), *rest][::-1]
+        rewritten = Presentation(pres.generators, pres.edge_of, pres.labels, pres.primaries, universals)
+        limits = EnumerationLimits(3000, 10**6)
+        a, b = enumerate_quandle(pres, limits), enumerate_quandle(rewritten, limits)
+        completed.append(a.completed and b.completed)
+        if completed[-1]:
+            assert b.stats.live == a.stats.live
+            assert components(b.graph)[1] == components(a.graph)[1]
+
+    check()
+    assert sum(completed) >= len(completed) / 2
 
 
 GKMN_16_8_8 = FamilyParams("Gkmn", k=16, m=8, n=8)

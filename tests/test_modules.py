@@ -59,3 +59,32 @@ def test_only_the_engine_expands_relations():
     calls = {path.name: expand_calls(path.read_text(encoding="utf-8")) for path in sorted(PACKAGE.glob("*.py"))}
     assert calls["engine.py"] > 0
     assert {name for name, count in calls.items() if count} == {"engine.py"}
+
+
+def unused_imports(source: str) -> list[str]:
+    """The names a module's source imports but never reads (``from
+    __future__`` imports aside), sorted."""
+    tree = ast.parse(source)
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {alias.asname or alias.name for alias in node.names}
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(imported - read)
+
+
+def test_unused_imports_are_found():
+    source = "import os\nimport numpy as np\nimport a.b\nfrom .engine import (\n    Quandle,\n    verify,\n)\n"
+    assert unused_imports(source) == ["Quandle", "a", "np", "os", "verify"]
+    assert unused_imports(source + "verify(os, np.zeros(1), a.b.c)\nx: Quandle\n") == []
+    assert unused_imports("from __future__ import annotations\n") == []
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    """``__init__`` imports its names to export them, so it is left out."""
+    modules = sorted(set(PACKAGE.glob("*.py")) - {PACKAGE / "__init__.py"})
+    assert modules
+    for path in modules:
+        assert unused_imports(path.read_text(encoding="utf-8")) == [], path.name

@@ -3,7 +3,7 @@
 import pytest
 
 from quandleforge import (
-    EdgeLabeling,
+    DiagramSpec,
     EnumerationLimits,
     GeneratorSymbol,
     GroupWord,
@@ -15,11 +15,10 @@ from quandleforge import (
     expand_relations,
     parse_presentation,
     parse_word,
-    power_relations,
     render_presentation,
-    secondary_of,
 )
 from quandleforge.families import _DATA_FILES, load_family_text
+from quandleforge.words import FieldError
 
 
 def test_parse_basic():
@@ -80,8 +79,10 @@ def test_parse_errors(text, message):
          "line 3, col 1: generator 'b' mapped to edge 3, but only 2 labels given"),
         ("gens: a b\nlabels: 1 1\nedges: a:1\n",
          "line 3, col 1: generator 'b' missing from 'edges:' map"),
+        ("# no edges line\ngens: a\nlabels: 1\n",
+         "line 2, col 1: generator 'a' missing from 'edges:' map"),
     ],
-    ids=["stray-label", "edge-beyond-labels", "generator-without-edge"],
+    ids=["stray-label", "edge-beyond-labels", "generator-without-edge", "no-edges-line"],
 )
 def test_parse_errors_point_at_their_line(text, where):
     """Errors found once the whole file is read point at the line that
@@ -119,31 +120,34 @@ def test_secondary_of_examples():
     a, b, syms = _simple()
     c = GeneratorSymbol(2, "c")
     syms["c"] = c
-    rel = PrimaryRelation(a, parse_word("b", syms), c)
-    assert secondary_of(rel).word == parse_word("b' a b c'", syms)
-    rel = PrimaryRelation(a, GroupWord(), b)
-    assert secondary_of(rel).word == parse_word("a b'", syms)
+
+    def secondaries(rel):
+        # the expansion of one primary, less the power relations at its end
+        pres = Presentation([a, b, c], {a: 1, b: 2, c: 3}, (2, 2, 2), [rel])
+        return [str(r.word) for r in expand_relations(pres).universals[:-3]]
+
+    assert secondaries(PrimaryRelation(a, parse_word("b", syms), c)) == ["b' a b c'"]
+    assert secondaries(PrimaryRelation(a, GroupWord(), b)) == ["a b'"]
     # a^[a] = a reduces to nothing and is dropped as vacuous
-    rel = PrimaryRelation(a, parse_word("a", syms), a)
-    assert secondary_of(rel) is None
+    assert secondaries(PrimaryRelation(a, parse_word("a", syms), a)) == []
 
 
 def test_power_relations_theta():
     pres = parse_presentation("gens: a b c\nedges: a:1 b:2 c:3\nlabels: 3 3 2\n")
-    words = [str(rel.word) for rel in power_relations(pres)]
+    words = [str(rel.word) for rel in expand_relations(pres).universals]
     assert words == ["a a a", "b b b", "c c"]
 
 
 def test_power_relations_label_one():
     pres = parse_presentation("gens: a\nedges: a:1\nlabels: 1\n")
-    assert [str(rel.word) for rel in power_relations(pres)] == ["a"]
+    assert [str(rel.word) for rel in expand_relations(pres).universals] == ["a"]
 
 
 def test_power_relations_gkmn():
     pres = parse_presentation(
         "gens: a b c d e f\nedges: a:1 b:2 c:3 d:4 e:5 f:6\nlabels: 2 2 3 4 2 2\n"
     )
-    words = [str(rel.word) for rel in power_relations(pres)]
+    words = [str(rel.word) for rel in expand_relations(pres).universals]
     assert words == ["a a", "b b", "c c c", "d d d d", "e e", "f f"]
 
 
@@ -185,11 +189,13 @@ def test_universal_relation_rejects_empty():
 
 
 def test_labeling_validation():
-    with pytest.raises(ValueError):
-        EdgeLabeling((2, 0))
     a = GeneratorSymbol(0, "a")
+    for build in (lambda: Presentation([a], {a: 1}, (0,)), lambda: DiagramSpec(1, {1: 1}, (0,))):
+        with pytest.raises(FieldError, match="edge label must be >= 1, got 0") as err:
+            build()
+        assert err.value.key == "labels"
     with pytest.raises(ValueError):
-        Presentation([a], {a: 2}, EdgeLabeling((2,)))
+        Presentation([a], {a: 2}, (2,))
 
 
 THETA = "gens: a b c\nedges: a:1 b:2 c:3\nlabels: 3 3 2\nrel * : a b c\n"
@@ -206,7 +212,7 @@ def test_secondary_loops_close_on_enumerated_quandle():
     )
     expanded = expand_relations(pres)
     quandle = enumerate_quandle(expanded, EnumerationLimits(10000, 10**8)).graph
-    sec = secondary_of(pres.primaries[0])
+    sec = expanded.universals[len(pres.universals)]  # the primary's secondary
     for x in range(quandle.actions.shape[1]):
         assert quandle.follow(sec.word, x) == x
 
@@ -219,7 +225,7 @@ def test_quotient_monotonicity():
     strengthened = Presentation(
         base.generators,
         base.edge_of,
-        base.labeling,
+        base.labels,
         base.primaries,
         base.universals + (UniversalRelation(parse_word("a", {g.name: g for g in base.generators})),),
     )
@@ -231,7 +237,7 @@ def test_quotient_monotonicity():
     redundant = Presentation(
         base.generators,
         base.edge_of,
-        base.labeling,
+        base.labels,
         base.primaries,
         base.universals + (UniversalRelation(parse_word("c' b' a'", syms)),),
     )

@@ -17,7 +17,6 @@ from quandleforge import (
     invert,
     parse_presentation,
     parse_word,
-    power_word,
     quandle_table,
 )
 from quandleforge.words import parse_labels, read_key_lines
@@ -59,16 +58,6 @@ def test_invert_involution_and_antihomomorphism():
         v = GroupWord(Letter(rng.choice(gens), rng.choice((1, -1))) for _ in range(rng.randint(0, 20)))
         assert invert(invert(u)) == u
         assert invert(u * v) == invert(v) * invert(u)
-
-
-def test_power_word():
-    assert power_word(C, 3) == w("c c c")
-    assert power_word(A, 1) == w("a")
-    assert power_word(D, 2) == w("d d")
-    with pytest.raises(ValueError):
-        power_word(A, 0)
-    with pytest.raises(ValueError):
-        power_word(A, -2)
 
 
 def test_act_examples():
