@@ -18,6 +18,8 @@ shared with presentations)::
     xing + : over=2 in=1 out=3   # out = in acted by over (- for inverse)
     vertex: 1+ 2- 3+
 
+``arcs:`` and ``labels:`` appear once each; the other keys may repeat.
+
 :func:`wirtinger` emits one generator per arc (named x1, x2, ...), a
 primary relation per crossing, and a universal relation per vertex whose
 word is the signed product of the incident arcs in listed order.
@@ -145,6 +147,8 @@ def parse_diagram(text: str) -> DiagramSpec:
     lines: dict[str, list[int]] = {}  # the lines of each key, crossings under "xing"
 
     for lineno, key, rest, _ in read_key_lines(text):
+        if key in {"arcs", "labels"} and key in lines:  # the single-valued keys
+            raise ParseError(f"duplicate '{key}:' line", lineno, 1)
         lines.setdefault("xing" if key.startswith("xing") else key, []).append(lineno)
         if key == "arcs":
             try:

@@ -13,7 +13,9 @@ to x acted on by g.  The construction follows Winker's method:
    the undefined gap between the two scans, and closes the gap's last
    letter onto the backward end with a new edge or a coincidence,
 4. collapsing identifies same-labeled edges into or out of a shared
-   vertex, cascading until every action is single-valued,
+   vertex, cascading until every action is single-valued; a merged
+   vertex's edges move onto its representative as it dies, so the rows
+   of live vertices never name a dead one,
 5. sweep the vertices once in creation order, tracing every universal
    relation of ``expand_relations(pres)`` (the presentation's own, the
    conjugate of each primary and the power relation g^n of each
@@ -150,16 +152,18 @@ class CayleyGraph:
     :class:`Quandle`, on which all analysis runs.
 
     Per generator, ``fwd`` and ``bwd`` hold a partial bijection on
-    vertices and its inverse, kept mutually consistent; -1 marks an
-    undefined image.  ``parent`` is the union-find structure and the only
-    record of liveness: a vertex v is live while ``parent[v] == v``, and a
-    merged vertex stays in the tables, pointing towards its
-    representative, until the next :meth:`compact`, so stored vertex ids
-    must be resolved through :meth:`find` when read.  Each merge kills
-    exactly one vertex, so ``stats.vertices_created - stats.merges``
-    vertices are live.  ``basepoint[g]`` is the vertex of generator g.  In
-    a completed graph every action is total on live vertices and the
-    vertex of each generator carries a loop under that generator.
+    vertices and its inverse; -1 marks an undefined image.  ``pairs``
+    holds each (table, inverse) pair once, ``(fwd[g], bwd[g])`` at g and
+    ``(bwd[g], fwd[g])`` at ngens + g.  ``parent`` is the union-find
+    structure and the only record of liveness: v is live while
+    ``parent[v] == v``.  Outside :meth:`collapse`, every entry of a live
+    row is -1 or a live vertex, and the two tables of a generator are
+    mutually inverse on live rows, so only ids held elsewhere (the
+    basepoints, the sweep's vertex) are resolved through :meth:`find`.
+    Each merge kills exactly one vertex, so ``stats.vertices_created -
+    stats.merges`` vertices are live.  ``basepoint[g]`` is the vertex of
+    generator g.  In a completed graph every action is total on live
+    vertices and the vertex of each generator carries a loop under it.
 
     Storage is indexed by vertex id: ``fwd[g]``, ``bwd[g]`` and
     ``parent`` are ``array("i")`` int32 tables.  They are grown in place
@@ -179,7 +183,7 @@ class CayleyGraph:
         ngens = len(pres.generators)
         self.fwd: list[array] = [array("i") for _ in range(ngens)]
         self.bwd: list[array] = [array("i") for _ in range(ngens)]
-        self.tables = self.fwd + self.bwd
+        self.pairs = list(zip(self.fwd + self.bwd, self.bwd + self.fwd))
         self.parent = array("i")
         self.size = 0
         self.stats = EnumerationStats()
@@ -193,7 +197,7 @@ class CayleyGraph:
 
     def _grow(self) -> None:
         undefined = array("i", [-1]) * max(len(self.parent) // 8, _CHUNK)
-        for table in self.tables:
+        for table, _ in self.pairs:
             table.extend(undefined)
         self.parent.extend(undefined)
 
@@ -223,12 +227,13 @@ class CayleyGraph:
     def compact(self, position: int) -> int:
         """Drop the rows of dead vertices, renumbering the live ones.
 
-        The k live vertices are renumbered 0..k-1 in creation order, and
-        every table entry and basepoint is mapped to the new id of its
-        representative; ``parent`` becomes the identity on 0..k-1 and the
-        freed slots hold -1.  Renumbering keeps the order of live ids, so
-        every later merge keeps the same representative as it would have
-        without compaction.  Returns the number of live vertices below
+        The k live vertices are renumbered 0..k-1 in creation order.  Live
+        rows name only live vertices, so each entry maps straight to its
+        new id; only the basepoints are resolved through :meth:`find`.
+        ``parent`` becomes the identity on 0..k-1 and the freed slots hold
+        -1.  Renumbering keeps the order of live ids, so every later merge
+        keeps the same representative as it would have without
+        compaction.  Returns the number of live vertices below
         ``position``: the new position of a sweep that was at it.
 
         Each table is remapped in place through a view that is released
@@ -236,20 +241,18 @@ class CayleyGraph:
         """
         size = self.size
         parent = np.frombuffer(self.parent, dtype=np.int32, count=size)
-        root = _flatten(parent)
-        live = np.flatnonzero(root == np.arange(size, dtype=np.int32))
+        live = np.flatnonzero(parent == np.arange(size, dtype=np.int32))
         k = len(live)
         # new_id[-1] stays -1, so undefined images map to themselves
         new_id = np.full(size + 1, -1, dtype=np.int32)
         new_id[live] = np.arange(k, dtype=np.int32)
-        new_id[:size] = new_id[root]
-        for table in self.tables:
+        self.basepoint[:] = new_id[[self.find(b) for b in self.basepoint]].tolist()
+        for table, _ in self.pairs:
             rows = np.frombuffer(table, dtype=np.int32, count=size)
             rows[:k] = new_id[rows[live]]
             rows[k:] = -1
         parent[:k] = np.arange(k, dtype=np.int32)
         parent[k:] = -1
-        self.basepoint[:] = new_id[self.basepoint].tolist()
         self.size = k
         return int(np.searchsorted(live, position))
 
@@ -257,11 +260,8 @@ class CayleyGraph:
 
     def letters(self, word: GroupWord) -> list[tuple[array, array]]:
         """The (out table, in table) pair of each letter, as :meth:`trace` takes them."""
-        return [
-            (self.fwd[letter.gen.id], self.bwd[letter.gen.id]) if letter.sign > 0
-            else (self.bwd[letter.gen.id], self.fwd[letter.gen.id])
-            for letter in word
-        ]
+        ngens = len(self.fwd)
+        return [self.pairs[letter.gen.id if letter.sign > 0 else ngens + letter.gen.id] for letter in word]
 
     def trace(self, start: int, letters, target: int | None = None) -> list[tuple[int, int]]:
         """Scan a word from ``start`` to ``target``, filling in the gap.
@@ -270,7 +270,8 @@ class CayleyGraph:
         freely reduced word: ``(fwd[g], bwd[g])`` for a generator g and
         ``(bwd[g], fwd[g])`` for its inverse.  The path must end at
         ``target`` (``start`` itself when ``target`` is None, i.e. a
-        universal relation traced as a closed loop).  The scan follows
+        universal relation traced as a closed loop).  Both must be live:
+        table entries are read without :meth:`find`.  The scan follows
         defined edges forward from ``start`` and then backward from the
         goal, stopping one letter after the forward position at most; new
         vertices are created only for the letters strictly inside the
@@ -282,24 +283,18 @@ class CayleyGraph:
         count past ``limits.max_steps`` is not started: the count is set
         to ``max_steps + 1`` and the limit is hit.
         """
-        parent = self.parent
-        find = self.find
         stats = self.stats
         steps = stats.steps + len(letters)
         if steps > self.limits.max_steps:
             stats.steps = self.limits.max_steps + 1
             raise _LimitHit
         stats.steps = steps
-        cur = start if parent[start] == start else find(start)
-        if target is None:
-            goal = cur
-        else:
-            goal = target if parent[target] == target else find(target)
+        cur, goal = start, start if target is None else target
         for i, (out_table, _) in enumerate(letters):
             nxt = out_table[cur]
             if nxt < 0:
                 break
-            cur = nxt if parent[nxt] == nxt else find(nxt)
+            cur = nxt
         else:
             return [] if cur == goal else [(cur, goal)]
         # letters[i] is undefined at cur; scan back from the goal down to
@@ -310,7 +305,7 @@ class CayleyGraph:
             prev = letters[last][1][end]
             if prev < 0:
                 break
-            end = prev if parent[prev] == prev else find(prev)
+            end = prev
             last -= 1
         for out_table, in_table in letters[i:last]:
             new = self.add_vertex()
@@ -329,14 +324,17 @@ class CayleyGraph:
     def collapse(self, queue: list[tuple[int, int]]) -> None:
         """Process coincidences to exhaustion, consuming ``queue``.
 
-        Merging keeps the lower-numbered representative and reconciles
-        each generator's in/out edges, queueing new coincidences whenever
-        both vertices carried distinct images.  Afterwards no live vertex
-        has two same-labeled edges in or out.
+        Merging keeps the lower-numbered representative ru and moves each
+        edge of the merged vertex rv onto ru, rewriting the one entry that
+        points back at rv; where ru already has that edge, or its end has
+        that in-edge, the two are queued as a coincidence instead.  Only
+        queued ids can be dead, so only they are resolved through
+        :meth:`find`.  Afterwards every live row names only live vertices,
+        and no live vertex has two same-labeled edges in or out.
         """
         parent = self.parent
         find = self.find
-        tables = self.tables
+        pairs = self.pairs
         max_steps = self.limits.max_steps
         steps, merges = self.stats.steps, self.stats.merges
         try:
@@ -353,17 +351,22 @@ class CayleyGraph:
                     raise _LimitHit
                 parent[rv] = ru
                 merges += 1
-                for table in tables:
+                for table, inverse in pairs:
                     tv = table[rv]
                     if tv < 0:
                         continue
+                    inverse[tv] = -1  # was rv
+                    if tv == rv:
+                        tv = ru
                     tu = table[ru]
-                    if tu < 0:
+                    if tu >= 0:
+                        if tu != tv:
+                            queue.append((tu, tv))
+                    elif inverse[tv] >= 0:
+                        queue.append((inverse[tv], ru))
+                    else:
                         table[ru] = tv
-                    elif (tu if parent[tu] == tu else find(tu)) != (
-                        tv if parent[tv] == tv else find(tv)
-                    ):
-                        queue.append((tu, tv))
+                        inverse[tv] = ru
         finally:
             self.stats.steps, self.stats.merges = steps, merges
 
@@ -381,8 +384,8 @@ class CayleyGraph:
         universals = [self.letters(rel.word) for rel in expand_relations(pres).universals]
         try:
             for rel in pres.primaries:
-                start = self.basepoint[rel.lhs_base.id]
-                target = self.basepoint[rel.rhs.id]
+                start = self.find(self.basepoint[rel.lhs_base.id])
+                target = self.find(self.basepoint[rel.rhs.id])
                 pending = self.trace(start, self.letters(rel.word), target)
                 if pending:
                     self.collapse(pending)
@@ -455,22 +458,14 @@ def enumerate_quandle(pres: Presentation, limits: EnumerationLimits | None = Non
     return EnumerationResult("completed", quandle, graph.stats)
 
 
-def _flatten(parent: np.ndarray) -> np.ndarray:
-    """Resolve an array forest to its roots by pointer jumping."""
-    while True:
-        jumped = parent[parent]
-        if np.array_equal(jumped, parent):
-            return parent
-        parent = jumped
-
-
 def _orbits(quandle: Quandle) -> np.ndarray:
     """The orbit of every element under the actions, named by its smallest
     element.
 
     Each round hooks the larger root of every edge that joins two trees
-    onto the smaller one, then flattens the trees; every pointer goes to
-    a smaller element, so a tree's root is its smallest member.
+    onto the smaller one, then flattens the trees by pointer jumping;
+    every pointer goes to a smaller element, so a tree's root is its
+    smallest member.
     """
     actions = quandle.actions
     n = actions.shape[1]
@@ -484,7 +479,9 @@ def _orbits(quandle: Quandle) -> np.ndarray:
         if not split.any():
             return root
         np.minimum.at(root, np.maximum(a, b)[split], np.minimum(a, b)[split])
-        root = _flatten(root)
+        jumped = root[root]
+        while not np.array_equal(jumped, root):
+            root, jumped = jumped, jumped[jumped]
 
 
 def components(quandle: Quandle):

@@ -21,6 +21,7 @@ Text format (line oriented, ``#`` starts a comment)::
     rel a : b b' = c            # primary, a^(b b') = c
     rel * : a b c               # universal, x^(a b c) = x
 
+``gens:`` and ``labels:`` appear once each; the other keys may repeat.
 Every edge 1..k of the labeling must carry at least one generator.  The
 word syntax, the line reader and the label list are the shared ones from
 :mod:`quandleforge.words`.
@@ -169,15 +170,13 @@ def parse_presentation(text: str) -> Presentation:
     labels: tuple[int, ...] | None = None
     primaries: list[PrimaryRelation] = []
     universals: list[UniversalRelation] = []
-    seen_keys: set[str] = set()
     line_of: dict[str, int] = {}  # the last line of each key
 
     for lineno, key, rest, col0 in read_key_lines(text):
+        if key in {"gens", "labels"} and key in line_of:  # the single-valued keys
+            raise ParseError(f"duplicate '{key}:' line", lineno, 1)
         line_of[key] = lineno
         if key == "gens":
-            if "gens" in seen_keys:
-                raise ParseError("duplicate 'gens:' line", lineno, 1)
-            seen_keys.add("gens")
             for name in rest.split():
                 if name in symbols:
                     raise ParseError(f"duplicate generator {name!r}", lineno, col0 + 1)

@@ -135,6 +135,8 @@ def test_parse_rejects_comma_labels():
         ("arcs: 1\nedge: 1:1\nlabels: 2\nvertices: 1+\n", "line 4, col 1: unknown key 'vertices'"),
         ("edge: 1:1\nlabels: 2\n", "line 1, col 1: missing 'arcs:' line"),
         ("arcs: 1\nedge: 1:1\n", "line 1, col 1: missing 'labels:' line"),
+        ("arcs: 3\narcs: 2\nedge: 1:1 2:1\nlabels: 2\n", "line 2, col 1: duplicate 'arcs:' line"),
+        ("arcs: 1\nedge: 1:1\nlabels: 2\nlabels: 3\n", "line 4, col 1: duplicate 'labels:' line"),
     ],
     ids=[
         "stray-label", "arc-without-edge", "no-edge-line", "crossing", "vertex", "end-used-twice",
@@ -142,7 +144,7 @@ def test_parse_rejects_comma_labels():
         "edge-beyond-labels", "edge-map-dangling-arc", "unsigned-crossing", "unknown-crossing-field",
         "crossing-field-without-value", "bad-crossing-value", "missing-crossing-field",
         "crossing-dangling-arc", "vertex-arc-without-direction", "bad-vertex-arc", "empty-vertex",
-        "unknown-key", "missing-arcs", "missing-labels",
+        "unknown-key", "missing-arcs", "missing-labels", "duplicate-arcs", "duplicate-labels",
     ],
 )
 def test_parse_errors_point_at_their_line(text, where):

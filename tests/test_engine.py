@@ -138,6 +138,28 @@ class UncompactedGraph(CayleyGraph):
         return engine.Quandle(self.pres, *arrays)
 
 
+class InvariantCheckingGraph(CayleyGraph):
+    """The enumerator, checking after each collapse that every entry of a
+    live row is -1 or a live vertex, and that ``fwd[g]`` and ``bwd[g]``
+    are mutually inverse on the live rows."""
+
+    checked = 0
+
+    def collapse(self, queue):
+        super().collapse(queue)
+        size = self.size
+        live = np.flatnonzero(np.frombuffer(self.parent, dtype=np.int32, count=size) == np.arange(size))
+        is_live = np.zeros(size + 1, dtype=bool)  # is_live[-1], for undefined entries, stays False
+        is_live[live] = True
+        for table, inverse in zip(self.fwd + self.bwd, self.bwd + self.fwd):
+            rows = np.frombuffer(table, dtype=np.int32, count=size)[live]
+            assert ((rows == -1) | is_live[rows]).all(), "a live row names a dead vertex"
+            defined = rows >= 0
+            back = np.frombuffer(inverse, dtype=np.int32, count=size)[rows[defined]]
+            assert np.array_equal(back, live[defined]), "fwd and bwd disagree on live rows"
+        self.checked += 1
+
+
 class PeakLiveGraph(CayleyGraph):
     """The enumerator, recording the most vertices live at once."""
 
@@ -320,6 +342,18 @@ def test_collapse_cascades():
     assert graph.find(vs[3]) == vs[2]
     assert graph.find(vs[5]) == vs[4]
     assert graph.stats.merges == 3
+
+
+@pytest.mark.parametrize(
+    "row", [row for row in table1_rows() if row["expected"] <= 400],
+    ids=lambda row: f"{row['family']}-{'_'.join(map(str, row['labels']))}",
+)
+def test_live_rows_name_only_live_vertices(row):
+    pres = family_presentation(FamilyParams(row["family"], labels=tuple(row["labels"])))
+    graph = InvariantCheckingGraph(pres, EnumerationLimits())
+    assert graph.run()
+    assert graph.stats.live == row["expected"]
+    assert graph.checked > 0
 
 
 def test_determinism():
@@ -866,6 +900,70 @@ def test_universal_rewrites_keep_sizes_on_random_presentations():
     assert sum(completed) >= len(completed) / 2
 
 
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(small_presentations())
+def test_live_rows_name_only_live_vertices_on_random_presentations(pres):
+    InvariantCheckingGraph(pres, EnumerationLimits(3000, 10**6)).run()
+
+
+def _renamed(pres, order):
+    """The presentation with generator ``order[i]`` renamed ``g<i>`` and
+    given dense id i; edges, labels and relations carry over."""
+    new = {pres.generators[old]: GeneratorSymbol(i, f"g{i}") for i, old in enumerate(order)}
+
+    def word(w):
+        return GroupWord([Letter(new[letter.gen], letter.sign) for letter in w])
+
+    return Presentation(
+        sorted(new.values()),
+        {new[gen]: edge for gen, edge in pres.edge_of.items()},
+        pres.labels,
+        [PrimaryRelation(new[r.lhs_base], word(r.word), new[r.rhs]) for r in pres.primaries],
+        [UniversalRelation(word(r.word)) for r in pres.universals],
+    )
+
+
+def test_generator_renaming_keeps_the_quandle_on_random_presentations():
+    """Renaming and reordering the generators changes neither the size,
+    nor the sorted component sizes, nor the canonical code of any
+    generator's component once its actions are read in the old order."""
+    completed = []
+
+    @settings(derandomize=True, database=None, max_examples=100, deadline=None)
+    @given(small_presentations(), st.randoms(use_true_random=False))
+    def check(pres, rng):
+        order = list(range(len(pres.generators)))
+        rng.shuffle(order)
+        limits = EnumerationLimits(3000, 10**6)
+        a, b = enumerate_quandle(pres, limits), enumerate_quandle(_renamed(pres, order), limits)
+        completed.append(a.completed and b.completed)
+        if not completed[-1]:
+            return
+        assert b.stats.live == a.stats.live
+        assert sorted(map(len, components(b.graph)[0])) == sorted(map(len, components(a.graph)[0]))
+        new_id = np.argsort(order)  # new_id[g]: the id generator g was given
+        names = [gen.name for gen in pres.generators]
+        for gen in pres.generators:
+            code = canonical_code_of_actions(
+                b.graph.actions[new_id], int(b.graph.basepoint[new_id[gen.id]]), names
+            )
+            assert code == canonical_code(a.graph, a.graph.basepoint[gen.id])
+
+    check()
+    assert sum(completed) >= len(completed) / 2
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(small_presentations())
+def test_two_runs_agree_on_random_presentations(pres):
+    limits = EnumerationLimits(3000, 10**6)
+    a, b = enumerate_quandle(pres, limits), enumerate_quandle(pres, limits)
+    assert (a.outcome, a.stats) == (b.outcome, b.stats)
+    if a.completed:
+        for name in ("actions", "inverses", "basepoint"):
+            assert np.array_equal(getattr(a.graph, name), getattr(b.graph, name)), name
+
+
 GKMN_16_8_8 = FamilyParams("Gkmn", k=16, m=8, n=8)
 COMPACTION_INPUTS = [(name, p) for name, p in EQUIVALENCE_INPUTS if p is not None] + [
     ("Gkmn-16_8_8", GKMN_16_8_8)
@@ -909,5 +1007,5 @@ def test_rows_held_follow_the_live_count():
     graph = PeakLiveGraph(expand_relations(family_presentation(GKMN_16_8_8)), EnumerationLimits())
     assert graph.run()
     assert graph.peak_live == 51_499
-    assert all(len(table) == len(graph.parent) for table in graph.tables)
+    assert all(len(table) == len(graph.parent) for table, _ in graph.pairs)
     assert len(graph.parent) <= 2 * graph.peak_live + engine._CHUNK

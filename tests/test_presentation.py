@@ -81,8 +81,12 @@ def test_parse_errors(text, message):
          "line 3, col 1: generator 'b' missing from 'edges:' map"),
         ("# no edges line\ngens: a\nlabels: 1\n",
          "line 2, col 1: generator 'a' missing from 'edges:' map"),
+        ("gens: a b c\nedges: a:1 b:2 c:3\nlabels: 3 3 2\nlabels: 5 5 5\n",
+         "line 4, col 1: duplicate 'labels:' line"),
+        ("gens: a\nedges: a:1\ngens: b\nlabels: 1\n", "line 3, col 1: duplicate 'gens:' line"),
     ],
-    ids=["stray-label", "edge-beyond-labels", "generator-without-edge", "no-edges-line"],
+    ids=["stray-label", "edge-beyond-labels", "generator-without-edge", "no-edges-line",
+         "duplicate-labels", "duplicate-gens"],
 )
 def test_parse_errors_point_at_their_line(text, where):
     """Errors found once the whole file is read point at the line that
