@@ -1,20 +1,20 @@
 """Command-line interface.
 
-Subcommands: enumerate | verify | export | regress | oracle-check.
-Input is either a built-in family (--family, with --k/--m/--n/--labels)
-or a file (--input) holding a presentation or a diagram; diagram files
-are recognized by their ``arcs:`` line and run through the Wirtinger
-construction.  Exit codes: 0 success, 1 input or verification error
-or out of memory, 2 enumeration limit exceeded (so batch drivers can
-raise limits for just those cases).  QF_MAX_VERTICES overrides the
-default vertex limit.  Run as ``quandleforge`` or ``python -m quandleforge``.
+Subcommands: enumerate | verify | regress | oracle-check.
+Input is either a built-in family (--family, with --labels, and --k/--m/--n
+for Gkmn and Gkm) or a file (--input) holding a presentation or a
+diagram; diagram files are recognized by their ``arcs:`` line and run
+through the Wirtinger construction.  Every subcommand takes
+--max-vertices and --max-steps.  Exit codes: 0 success, 1 input or
+verification error or out of memory, 2 enumeration limit exceeded (so
+batch drivers can raise limits for just those cases).  Run as
+``quandleforge`` or ``python -m quandleforge``.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import diagram as diagram_mod
@@ -45,18 +45,8 @@ from .words import ParseError, parse_labels, read_key_lines
 DOT_COLORS = ("black", "red", "blue", "forestgreen", "darkorange", "purple", "brown", "cadetblue")
 
 
-def _default_max_vertices() -> int:
-    env = os.environ.get("QF_MAX_VERTICES")
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            raise ValueError(f"QF_MAX_VERTICES must be an integer, got {env!r}")
-    return DEFAULT_MAX_VERTICES
-
-
 def _add_limit_options(sub: argparse.ArgumentParser):
-    sub.add_argument("--max-vertices", type=int, default=None)
+    sub.add_argument("--max-vertices", type=int, default=DEFAULT_MAX_VERTICES)
     sub.add_argument("--max-steps", type=int, default=DEFAULT_MAX_STEPS)
 
 
@@ -64,16 +54,10 @@ def _add_input_options(sub: argparse.ArgumentParser):
     sub.add_argument("--family", choices=FAMILY_NAMES, help="built-in family selector")
     sub.add_argument("--input", metavar="FILE", help="presentation or diagram file")
     sub.add_argument("--k", type=int, help="twist count for Gkmn/Gkm (nonzero)")
-    sub.add_argument("--m", type=int, help="first strut label")
-    sub.add_argument("--n", type=int, help="second strut label")
+    sub.add_argument("--m", type=int, help="first strut label for Gkmn/Gkm")
+    sub.add_argument("--n", type=int, help="second strut label for Gkmn")
     sub.add_argument("--labels", help="edge labels n1,n2,... (commas or spaces), one per edge, overriding the input's")
     _add_limit_options(sub)
-
-
-def _add_output_options(sub: argparse.ArgumentParser, default_format: str):
-    sub.add_argument("--format", choices=("stats", "dot", "json", "table"), default=default_format)
-    sub.add_argument("--output", "-o", metavar="FILE")
-    sub.add_argument("--no-loops", action="store_true", help="suppress self-loop edges in DOT")
 
 
 def _load_presentation(args) -> Presentation:
@@ -84,6 +68,9 @@ def _load_presentation(args) -> Presentation:
         return family_presentation(
             FamilyParams(args.family, k=args.k, m=args.m, n=args.n, labels=labels)
         )
+    for name in "kmn":
+        if getattr(args, name) is not None:
+            raise ValueError(f"--input takes no --{name}")
     with open(args.input, encoding="utf-8") as handle:
         text = handle.read()
     if any(key == "arcs" for _, key, _, _ in read_key_lines(text)):
@@ -96,8 +83,7 @@ def _load_presentation(args) -> Presentation:
 
 
 def _limits(args) -> EnumerationLimits:
-    max_vertices = args.max_vertices if args.max_vertices is not None else _default_max_vertices()
-    return EnumerationLimits(max_vertices=max_vertices, max_steps=args.max_steps)
+    return EnumerationLimits(max_vertices=args.max_vertices, max_steps=args.max_steps)
 
 
 def _emit(text: str, path: str | None):
@@ -206,9 +192,6 @@ def cmd_regress(args) -> int:
     limits = _limits(args)
     failures = 0
     for row in rows:
-        if row.get("slow") and args.skip_slow:
-            print(f"SKIP  {row['family']} {tuple(row['labels'])} (slow)")
-            continue
         pres = family_presentation(FamilyParams(row["family"], labels=tuple(row["labels"])))
         result = enumerate_quandle(pres, limits)
         got = result.stats.live if result.completed else None
@@ -223,6 +206,9 @@ def cmd_oracle_check(args) -> int:
     ks = [args.k] if args.k is not None else list(range(1, 5))
     ms = [args.m] if args.m is not None else list(range(1, 5))
     ns = [args.n] if args.n is not None else list(range(1, 5))
+    # k = 0 and m, n < 1 fail in family_presentation, before the first enumeration
+    if min(ks) < 0:
+        raise ValueError(f"oracle-check requires --k >= 1, got {min(ks)}")
     failures = 0
     for k in ks:
         for m in ms:
@@ -254,20 +240,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     enum = subs.add_parser("enumerate", help="enumerate a quandle and print or export it")
     _add_input_options(enum)
-    _add_output_options(enum, "stats")
+    enum.add_argument("--format", choices=("stats", "dot", "json", "table"), default="stats")
+    enum.add_argument("--output", "-o", metavar="FILE")
+    enum.add_argument("--no-loops", action="store_true", help="suppress self-loop edges in DOT")
     enum.set_defaults(func=cmd_enumerate)
 
     ver = subs.add_parser("verify", help="enumerate and check axioms and relations")
     _add_input_options(ver)
     ver.set_defaults(func=cmd_verify)
 
-    exp = subs.add_parser("export", help="alias of enumerate for writing artifacts")
-    _add_input_options(exp)
-    _add_output_options(exp, "json")
-    exp.set_defaults(func=cmd_enumerate)
-
     reg = subs.add_parser("regress", help="run the shipped size-regression manifest")
-    reg.add_argument("--skip-slow", action="store_true", help="skip rows marked slow")
     _add_limit_options(reg)
     reg.set_defaults(func=cmd_regress)
 

@@ -39,7 +39,10 @@ _DATA_FILES = {
     "K4knot": "presentations/k4knot.txt",
 }
 
-FAMILY_NAMES = (*_DATA_FILES, "Gkmn", "Gkm")
+# the parameters each twist family reads; the other families read none
+_TWIST_PARAMS = {"Gkmn": "kmn", "Gkm": "km"}
+
+FAMILY_NAMES = (*_DATA_FILES, *_TWIST_PARAMS)
 
 GENERATOR_ORDER = "abcdef"
 
@@ -107,7 +110,7 @@ def load_diagram_text(name: str) -> str:
 
 
 def table1_rows() -> list[dict]:
-    """The regression manifest: family, labels, expected size, slow flag."""
+    """The regression manifest: family, labels and expected size of each row."""
     return json.loads(_load_checked("table1.json"))["rows"]
 
 
@@ -144,7 +147,10 @@ def family_presentation(params: FamilyParams) -> Presentation:
     family = params.family
     if family not in FAMILY_NAMES:
         raise ValueError(f"unknown family {family!r}; choose one of {', '.join(FAMILY_NAMES)}")
-    if family in ("Gkmn", "Gkm"):
+    for name in "kmn":
+        if getattr(params, name) is not None and name not in _TWIST_PARAMS.get(family, ""):
+            raise ValueError(f"{family} takes no --{name}")
+    if family in _TWIST_PARAMS:
         return _twist_presentation(params)
     try:
         pres = parse_presentation(load_family_text(family))

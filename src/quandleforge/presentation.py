@@ -22,6 +22,7 @@ Text format (line oriented, ``#`` starts a comment)::
     rel * : a b c               # universal, x^(a b c) = x
 
 ``gens:`` and ``labels:`` appear once each; the other keys may repeat.
+Generator names are identifiers, so ``b'`` in a word is always b⁻¹.
 Every edge 1..k of the labeling must carry at least one generator.  The
 word syntax, the line reader and the label list are the shared ones from
 :mod:`quandleforge.words`.
@@ -38,6 +39,7 @@ from .words import (
     Letter,
     ParseError,
     check_labels,
+    check_name,
     invert,
     parse_labels,
     parse_word,
@@ -95,6 +97,7 @@ class Presentation:
         for i, gen in enumerate(self.generators):
             if gen.id != i:
                 raise ValueError(f"generator ids must be dense 0..g-1; {gen} has id {gen.id} at {i}")
+            check_name(gen.name)
             if gen.name in names:
                 raise FieldError(f"duplicate generator name {gen.name!r}", "gens")
             names.add(gen.name)

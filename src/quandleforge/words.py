@@ -12,7 +12,8 @@ juxtaposition concatenates, and parenthesized groups may carry integer
 exponents, e.g. ``(ab)^3``, ``c^2``, ``(ab)^-1``.  Whitespace is ignored.
 The file formats also share their line reader (:func:`read_key_lines`)
 and their edge-label list (:func:`parse_labels`), whose rule
-(:func:`check_labels`) the validated types apply too.
+(:func:`check_labels`) the validated types apply too, as they do the
+name rule (:func:`check_name`).
 """
 
 from __future__ import annotations
@@ -71,6 +72,13 @@ def check_labels(labels: tuple[int, ...]) -> None:
     for n in labels:
         if n < 1:
             raise FieldError(f"edge label must be >= 1, got {n}", "labels")
+
+
+def check_name(name: str) -> None:
+    """Raise :class:`FieldError` on ``name`` unless it is an identifier, so
+    that a name cannot hold the word syntax's ``'``, ``^`` or parentheses."""
+    if not name.isidentifier():
+        raise FieldError(f"generator name {name!r} is not an identifier", "gens")
 
 
 def parse_labels(text: str, line: int = 1, col: int = 1) -> tuple[int, ...]:

@@ -47,35 +47,20 @@ def report(criterion, ok, detail=""):
 
 # -- criterion 1: exact reproduction of every computed size ---------------
 
-FAST_ROWS = [row for row in table1_rows() if not row.get("slow")]
-SLOW_ROWS = [row for row in table1_rows() if row.get("slow")]
+ROWS = table1_rows()
 
 
 @pytest.mark.parametrize(
-    "row", FAST_ROWS, ids=[f"{r['family']}-{'_'.join(map(str, r['labels']))}" for r in FAST_ROWS]
+    "row", ROWS, ids=[f"{r['family']}-{'_'.join(map(str, r['labels']))}" for r in ROWS]
 )
 def test_criterion_1_size_table(row):
-    res = enum(family_presentation(FamilyParams(row["family"], labels=tuple(row["labels"]))))
-    got = res.stats.live if res.completed else None
-    report(
-        f"1 [{row['family']} {tuple(row['labels'])}]",
-        got == row["expected"],
-        f"got {got}, expected {row['expected']}",
-    )
-
-
-@pytest.mark.slow
-@pytest.mark.parametrize(
-    "row", SLOW_ROWS, ids=[f"{r['family']}-{'_'.join(map(str, r['labels']))}" for r in SLOW_ROWS]
-)
-def test_criterion_1_size_table_slow(row):
     start = time.time()
     pres = expand_relations(family_presentation(FamilyParams(row["family"], labels=tuple(row["labels"]))))
     res = enumerate_quandle(pres, LIMITS)
     got = res.stats.live if res.completed else None
     elapsed = time.time() - start
     report(
-        f"1 [{row['family']} {tuple(row['labels'])}, slow]",
+        f"1 [{row['family']} {tuple(row['labels'])}]",
         got == row["expected"] and elapsed < 600,
         f"got {got}, expected {row['expected']} in {elapsed:.1f}s",
     )
@@ -86,7 +71,7 @@ def test_criterion_1_size_table_slow(row):
     finally:
         tracemalloc.stop()
     report(
-        f"1 [{row['family']} {tuple(row['labels'])}, slow, verify]",
+        f"1 [{row['family']} {tuple(row['labels'])}, verify]",
         violations == [] and peak <= 48 * 10**6,
         f"violations {violations[:3]}, tracemalloc peak {peak / 1e6:.1f} MB",
     )
@@ -142,7 +127,7 @@ def test_criterion_4_oracle_isomorphism():
 def test_criterion_5_axiom_suite(brute_force):
     bad = []
     checked = 0
-    for row in FAST_ROWS:
+    for row in ROWS:
         if row["expected"] > 400:
             continue
         pres = expand_relations(

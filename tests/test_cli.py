@@ -2,6 +2,8 @@
 
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -13,7 +15,8 @@ from quandleforge import (
     EnumerationLimits, FamilyParams, components, enumerate_quandle, expand_relations,
     family_presentation, quandle_table,
 )
-from quandleforge.cli import DOT_COLORS, export_dot, export_json, format_table, run
+from quandleforge import cli
+from quandleforge.cli import DOT_COLORS, build_parser, export_dot, export_json, format_table, run
 from quandleforge.engine import CayleyGraph, canonical_code_of_actions
 from quandleforge.families import _read_data_text, load_diagram_text
 
@@ -79,8 +82,8 @@ def test_dot_no_loops(capsys, tmp_path):
 
 def test_json_round_trip_reproduces_canonical_code(capsys, tmp_path):
     out_path = tmp_path / "theta.json"
-    code, _, _ = invoke(capsys, "export", "--family", "theta3", "--labels", "3,3,2",
-                        "-o", str(out_path))
+    code, _, _ = invoke(capsys, "enumerate", "--family", "theta3", "--labels", "3,3,2",
+                        "--format", "json", "-o", str(out_path))
     assert code == 0
     doc = json.loads(out_path.read_text())
     actions = [np.array(doc["actions"][name]) for name in sorted(doc["actions"])]
@@ -148,12 +151,12 @@ def test_verify_diagram_input(capsys, tmp_path):
     assert "verify: ok" in out
 
 
-def test_regress_skip_slow(capsys):
-    code, out, _ = invoke(capsys, "regress", "--skip-slow")
+def test_regress(capsys):
+    code, out, _ = invoke(capsys, "regress")
     assert code == 0
     lines = [line for line in out.splitlines() if line]
-    assert sum(1 for line in lines if line.startswith("PASS")) == 20
-    assert sum(1 for line in lines if line.startswith("SKIP")) == 1
+    assert len(lines) == 21
+    assert all(line.startswith("PASS") for line in lines)
 
 
 def test_oracle_check_single(capsys):
@@ -167,6 +170,34 @@ def test_oracle_check_zero_is_not_absent(capsys):
     assert code == 1
     assert out == ""
     assert err == "error: Gkmn requires a nonzero twist count k\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("--k", "-1", "--m", "1", "--n", "1"), "oracle-check requires --k >= 1, got -1"),
+    (("--k", "-2"), "oracle-check requires --k >= 1, got -2"),
+    (("--m", "0"), "edge label must be >= 1, got 0"),
+])
+def test_oracle_check_rejects_parameters_before_enumerating(capsys, argv, message):
+    code, out, err = invoke(capsys, "oracle-check", *argv)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("--family", "Gkm", "--k", "1", "--m", "2", "--n", "5"), "Gkm takes no --n"),
+    (("--family", "theta3", "--k", "3"), "theta3 takes no --k"),
+    (("--family", "H1", "--m", "3"), "H1 takes no --m"),
+    (("--input", "THETA", "--k", "3"), "--input takes no --k"),
+])
+def test_unread_family_parameters_exit_one(capsys, tmp_path, argv, message):
+    path = tmp_path / "theta.txt"
+    path.write_text(load_diagram_text("theta3"))
+    argv = [str(path) if arg == "THETA" else arg for arg in argv]
+    code, out, err = invoke(capsys, "enumerate", *argv)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {message}\n"
 
 
 def test_input_errors_exit_one(capsys, tmp_path):
@@ -196,24 +227,30 @@ def test_input_labels_need_one_label_per_edge(capsys, tmp_path, name):
     assert err == "error: edge 4 has no generator\n"
 
 
-def test_env_var_limit_override(capsys, monkeypatch):
-    monkeypatch.setenv("QF_MAX_VERTICES", "5000")
-    code, out, _ = invoke(capsys, "enumerate", "--family", "K4knot")
-    assert code == 2
-    assert "vertices_created=5000" in out
-
-
-def test_env_var_limit_must_be_integer(capsys, monkeypatch):
-    monkeypatch.setenv("QF_MAX_VERTICES", "abc")
-    code, out, err = invoke(capsys, "enumerate", "--family", "theta3", "--labels", "3,3,2")
-    assert code == 1
-    assert out == ""
-    assert err == "error: QF_MAX_VERTICES must be an integer, got 'abc'\n"
-
-
 def test_bad_usage_exits_nonzero(capsys):
     assert run(["enumerate", "--family", "nosuch"]) == 1
     assert run([]) == 1
+    # export was enumerate with another default --format, and is gone
+    code, out, err = invoke(capsys, "export", "--family", "theta3")
+    assert (code, out) == (1, "")
+    assert err.startswith("usage: quandleforge")
+
+
+def test_docstring_lists_the_registered_subcommands():
+    registered = re.search(r"\{([\w,-]+)\}", build_parser().format_usage()).group(1).split(",")
+    listed = re.search(r"Subcommands: ([\w |-]+)\.", cli.__doc__).group(1).split(" | ")
+    assert listed == registered == ["enumerate", "verify", "regress", "oracle-check"]
+
+
+def test_readme_command_lines_parse():
+    """Every ``quandleforge`` line of the README's command-line block names
+    only subcommands and options the parser has."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"## Command line\n\n```\n(.*?)```", readme, re.S).group(1)
+    lines = [shlex.split(line, comments=True) for line in block.splitlines()]
+    assert lines and all(argv[0] == "quandleforge" for argv in lines)
+    for argv in lines:
+        build_parser().parse_args(argv[1:])
 
 
 def test_out_of_memory_exits_one(capsys, monkeypatch):
@@ -256,9 +293,9 @@ def test_python_dash_m():
     assert "final_size=14" in proc.stdout
 
 
-def test_int32_vertex_limit_exits_one(capsys, monkeypatch):
-    monkeypatch.setenv("QF_MAX_VERTICES", "3000000000")
-    code, out, err = invoke(capsys, "enumerate", "--family", "theta3", "--labels", "3,3,2")
+def test_int32_vertex_limit_exits_one(capsys):
+    code, out, err = invoke(capsys, "enumerate", "--family", "theta3", "--labels", "3,3,2",
+                            "--max-vertices", "3000000000")
     assert code == 1
     assert out == ""
     assert err.startswith("error: max_vertices 3000000000 exceeds the int32 vertex id limit")

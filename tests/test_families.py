@@ -64,6 +64,16 @@ def test_gkmn_labels_are_fixed():
         family_presentation(FamilyParams("Gkmn", k=2, m=2))
 
 
+@pytest.mark.parametrize("params, message", [
+    (FamilyParams("Gkm", k=1, m=2, n=5), "Gkm takes no --n"),
+    (FamilyParams("theta3", k=3), "theta3 takes no --k"),
+    (FamilyParams("K4knot", m=2), "K4knot takes no --m"),
+])
+def test_unread_parameters_are_rejected(params, message):
+    with pytest.raises(ValueError, match=message):
+        family_presentation(params)
+
+
 def test_unknown_family():
     with pytest.raises(ValueError):
         family_presentation(FamilyParams("nosuch"))
@@ -141,8 +151,8 @@ def test_checksums_cover_all_data_files():
 def test_table1_manifest_shape():
     rows = table1_rows()
     assert len(rows) == 21
-    assert sum(1 for r in rows if r.get("slow")) == 1
     for row in rows:
+        assert set(row) == {"family", "labels", "expected"}
         assert row["family"] in ("theta3", "KT", "H1", "H2", "DH", "K4planar")
 
 

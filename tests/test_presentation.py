@@ -84,9 +84,15 @@ def test_parse_errors(text, message):
         ("gens: a b c\nedges: a:1 b:2 c:3\nlabels: 3 3 2\nlabels: 5 5 5\n",
          "line 4, col 1: duplicate 'labels:' line"),
         ("gens: a\nedges: a:1\ngens: b\nlabels: 1\n", "line 3, col 1: duplicate 'gens:' line"),
+        # b' would read as a generator, not as the inverse of b
+        ("# primes invert\ngens: b b'\nedges: b:1 b':2\nlabels: 2 2\nrel * : b'\n",
+         "line 2, col 1: generator name \"b'\" is not an identifier"),
+        ("gens: a a^2\nedges: a:1 a^2:1\nlabels: 3\nrel * : a^2\n",
+         "line 1, col 1: generator name 'a^2' is not an identifier"),
+        ("labels: 1\ngens: (a\nedges: (a:1\n", "line 2, col 1: generator name '(a' is not an identifier"),
     ],
     ids=["stray-label", "edge-beyond-labels", "generator-without-edge", "no-edges-line",
-         "duplicate-labels", "duplicate-gens"],
+         "duplicate-labels", "duplicate-gens", "prime-in-name", "power-in-name", "paren-in-name"],
 )
 def test_parse_errors_point_at_their_line(text, where):
     """Errors found once the whole file is read point at the line that
@@ -200,6 +206,13 @@ def test_labeling_validation():
         assert err.value.key == "labels"
     with pytest.raises(ValueError):
         Presentation([a], {a: 2}, (2,))
+
+
+def test_built_presentation_names_are_identifiers():
+    a = GeneratorSymbol(0, "a'")
+    with pytest.raises(FieldError, match="generator name \"a'\" is not an identifier") as err:
+        Presentation([a], {a: 1}, (2,))
+    assert err.value.key == "gens"
 
 
 THETA = "gens: a b c\nedges: a:1 b:2 c:3\nlabels: 3 3 2\nrel * : a b c\n"
