@@ -3,11 +3,13 @@
 Subcommands: enumerate | verify | regress | oracle-check.
 Input is either a built-in family (--family, with --labels, and --k/--m/--n
 for Gkmn and Gkm) or a file (--input) holding a presentation or a
-diagram; diagram files are recognized by their ``arcs:`` line and run
-through the Wirtinger construction.  Every subcommand takes
+diagram, read as the shipped data files are, by
+:func:`~quandleforge.diagram.parse_input`.  Every subcommand takes
 --max-vertices and --max-steps.  Exit codes: 0 success, 1 input or
 verification error or out of memory, 2 enumeration limit exceeded (so
-batch drivers can raise limits for just those cases).  Run as
+batch drivers can raise limits for just those cases).  ``regress`` and
+``oracle-check`` print one PASS, FAIL or LIMIT line per instance and
+exit 1 if any failed, else 2 if any hit a limit.  Run as
 ``quandleforge`` or ``python -m quandleforge``.
 """
 
@@ -17,7 +19,7 @@ import argparse
 import json
 import sys
 
-from . import diagram as diagram_mod
+from .diagram import parse_input
 from .engine import (
     DEFAULT_MAX_STEPS,
     DEFAULT_MAX_VERTICES,
@@ -39,8 +41,8 @@ from .families import (
     gkmn_size,
     table1_rows,
 )
-from .presentation import Presentation, parse_presentation
-from .words import ParseError, parse_labels, read_key_lines
+from .presentation import Presentation
+from .words import FieldError, ParseError, check_labels
 
 DOT_COLORS = ("black", "red", "blue", "forestgreen", "darkorange", "purple", "brown", "cadetblue")
 
@@ -60,10 +62,22 @@ def _add_input_options(sub: argparse.ArgumentParser):
     _add_limit_options(sub)
 
 
+def _label_option(text: str) -> tuple[int, ...]:
+    """The --labels value, a list separated by commas or spaces."""
+    try:
+        labels = tuple(int(tok) for tok in text.replace(",", " ").split())
+        check_labels(labels)
+    except FieldError as exc:
+        raise ValueError(f"--labels: {exc}") from None
+    except ValueError:
+        raise ValueError(f"--labels: bad label list {text!r}") from None
+    return labels
+
+
 def _load_presentation(args) -> Presentation:
     if (args.family is None) == (args.input is None):
-        raise ParseError("exactly one of --family and --input is required")
-    labels = None if args.labels is None else parse_labels(args.labels.replace(",", " "))
+        raise ValueError("exactly one of --family and --input is required")
+    labels = None if args.labels is None else _label_option(args.labels)
     if args.family:
         return family_presentation(
             FamilyParams(args.family, k=args.k, m=args.m, n=args.n, labels=labels)
@@ -72,14 +86,8 @@ def _load_presentation(args) -> Presentation:
         if getattr(args, name) is not None:
             raise ValueError(f"--input takes no --{name}")
     with open(args.input, encoding="utf-8") as handle:
-        text = handle.read()
-    if any(key == "arcs" for _, key, _, _ in read_key_lines(text)):
-        pres = diagram_mod.wirtinger(diagram_mod.parse_diagram(text))
-    else:
-        pres = parse_presentation(text)
-    if labels is not None:
-        pres = pres.with_labels(labels)
-    return pres
+        pres = parse_input(handle.read())
+    return pres if labels is None else pres.with_labels(labels)
 
 
 def _limits(args) -> EnumerationLimits:
@@ -187,19 +195,25 @@ def cmd_verify(args) -> int:
     return 0 if not violations else 1
 
 
+def _batch_exit(statuses: list[str]) -> int:
+    """Exit code of a batch: 1 if any instance failed, else 2 if any hit a limit."""
+    return 1 if "FAIL" in statuses else 2 if "LIMIT" in statuses else 0
+
+
 def cmd_regress(args) -> int:
-    rows = table1_rows()
     limits = _limits(args)
-    failures = 0
-    for row in rows:
+    statuses = []
+    for row in table1_rows():
         pres = family_presentation(FamilyParams(row["family"], labels=tuple(row["labels"])))
         result = enumerate_quandle(pres, limits)
-        got = result.stats.live if result.completed else None
-        ok = got == row["expected"]
-        failures += 0 if ok else 1
-        status = "PASS" if ok else "FAIL"
-        print(f"{status}  {row['family']} {tuple(row['labels'])}: got {got}, expected {row['expected']}")
-    return 0 if failures == 0 else 1
+        name, expected = f"{row['family']} {tuple(row['labels'])}", row["expected"]
+        if not result.completed:
+            statuses.append("LIMIT")
+            print(f"LIMIT {name}: enumeration hit limits, expected {expected}")
+            continue
+        statuses.append("PASS" if result.stats.live == expected else "FAIL")
+        print(f"{statuses[-1]}  {name}: got {result.stats.live}, expected {expected}")
+    return _batch_exit(statuses)
 
 
 def cmd_oracle_check(args) -> int:
@@ -209,26 +223,27 @@ def cmd_oracle_check(args) -> int:
     # k = 0 and m, n < 1 fail in family_presentation, before the first enumeration
     if min(ks) < 0:
         raise ValueError(f"oracle-check requires --k >= 1, got {min(ks)}")
-    failures = 0
+    statuses = []
     for k in ks:
         for m in ms:
             for n in ns:
                 pres = family_presentation(FamilyParams("Gkmn", k=k, m=m, n=n))
                 result = enumerate_quandle(pres, _limits(args))
                 if not result.completed:
-                    print(f"FAIL  G({k},{m},{n}): enumeration hit limits")
-                    failures += 1
+                    statuses.append("LIMIT")
+                    print(f"LIMIT G({k},{m},{n}): enumeration hit limits")
                     continue
                 quandle = result.graph
                 ok_a = canonical_code(quandle, quandle.basepoint[0]) == build_explicit_Qa(k, m, n).canonical_code()
                 ok_d = canonical_code(quandle, quandle.basepoint[3]) == build_explicit_Qd(k, m).canonical_code()
                 ok_size = result.stats.live == gkmn_size(k, m, n)
                 if ok_a and ok_d and ok_size:
+                    statuses.append("PASS")
                     print(f"PASS  G({k},{m},{n}): size {result.stats.live}, Qa and Qd match the models")
                 else:
+                    statuses.append("FAIL")
                     print(f"FAIL  G({k},{m},{n}): size_ok={ok_size} Qa_ok={ok_a} Qd_ok={ok_d}")
-                    failures += 1
-    return 0 if failures == 0 else 1
+    return _batch_exit(statuses)
 
 
 def build_parser() -> argparse.ArgumentParser:

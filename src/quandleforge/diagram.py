@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .presentation import Presentation, PrimaryRelation, UniversalRelation
+from .presentation import Presentation, PrimaryRelation, UniversalRelation, parse_presentation
 from .words import (
     FieldError,
     GeneratorSymbol,
@@ -237,6 +237,14 @@ def wirtinger(spec: DiagramSpec) -> Presentation:
             universals.append(UniversalRelation(word))
     edge_of = {gen(arc): spec.arc_edge[arc] for arc in range(1, spec.arc_count + 1)}
     return Presentation(gens, edge_of, spec.labels, primaries, universals)
+
+
+def parse_input(text: str) -> Presentation:
+    """The presentation a diagram or presentation file holds; a text with
+    an ``arcs:`` line is a diagram."""
+    if any(key == "arcs" for _, key, _, _ in read_key_lines(text)):
+        return wirtinger(parse_diagram(text))
+    return parse_presentation(text)
 
 
 def _chain_terminal_arc(spec: DiagramSpec, edge: int) -> int:

@@ -6,8 +6,9 @@ half-twists between two strands, closed off by a strut on each side, the
 left strut labeled m and the right one labeled n (negative k means
 left-handed twists); G(k,m) is the one-strut reduction.  The exceptional
 graphs (theta graph, knotted theta, the handcuff variants, planar and
-knotted K4) ship as reviewed presentation files under ``data/``, guarded
-by checksums, and validated by reproducing the known quandle sizes.
+knotted K4) ship as one checksummed diagram file each under ``data/``,
+save theta3 and K4planar, hand-reduced presentations with one generator
+per edge; all are validated by reproducing the known quandle sizes.
 
 For G(k,m,n) this module also builds explicit models of the components
 containing the a and d generators, straight from the index formulas: the
@@ -25,18 +26,19 @@ from importlib import resources
 
 import numpy as np
 
+from .diagram import parse_input
 from .engine import canonical_code_of_actions
-from .presentation import Presentation, UniversalRelation, parse_presentation
-from .words import GeneratorSymbol, ParseError, parse_word
+from .presentation import Presentation, UniversalRelation
+from .words import GeneratorSymbol, parse_word
 
 _DATA_FILES = {
     "theta3": "presentations/theta3.txt",
-    "KT": "presentations/kt.txt",
-    "H1": "presentations/h1.txt",
-    "H2": "presentations/h2.txt",
-    "DH": "presentations/dh.txt",
+    "KT": "diagrams/kt.txt",
+    "H1": "diagrams/h1.txt",
+    "H2": "diagrams/h2.txt",
+    "DH": "diagrams/dh.txt",
     "K4planar": "presentations/k4planar.txt",
-    "K4knot": "presentations/k4knot.txt",
+    "K4knot": "diagrams/k4knot.txt",
 }
 
 # the parameters each twist family reads; the other families read none
@@ -98,11 +100,6 @@ def _load_checked(filename: str) -> str:
     return text
 
 
-def load_family_text(family: str) -> str:
-    """Raw text of a shipped exceptional-family presentation file."""
-    return _load_checked(_DATA_FILES[family])
-
-
 def load_diagram_text(name: str) -> str:
     """Raw text of a shipped diagram file (theta3, kt, h1, h2, dh,
     k4planar, k4knot, unknot, hopf)."""
@@ -152,10 +149,7 @@ def family_presentation(params: FamilyParams) -> Presentation:
             raise ValueError(f"{family} takes no --{name}")
     if family in _TWIST_PARAMS:
         return _twist_presentation(params)
-    try:
-        pres = parse_presentation(load_family_text(family))
-    except ParseError as exc:
-        raise ValueError(f"shipped presentation for {family} failed to parse: {exc}") from exc
+    pres = parse_input(_load_checked(_DATA_FILES[family]))
     return pres if params.labels is None else pres.with_labels(params.labels)
 
 

@@ -165,6 +165,22 @@ def test_oracle_check_single(capsys):
     assert "PASS  G(2,2,3)" in out
 
 
+def test_limits_exit_two_and_failures_one(capsys, monkeypatch):
+    """A batch whose instances only hit limits exits 2; any failure makes it 1."""
+    code, out, _ = invoke(capsys, "oracle-check", "--k", "200", "--m", "1", "--n", "1",
+                          "--max-vertices", "100")
+    assert (code, out) == (2, "LIMIT G(200,1,1): enumeration hit limits\n")
+    code, out, _ = invoke(capsys, "regress", "--max-vertices", "50")
+    assert code == 2
+    assert {line.split()[0] for line in out.splitlines()} == {"PASS", "LIMIT"}
+    rows = [{"family": "theta3", "labels": [3, 3, 2], "expected": 15},
+            {"family": "KT", "labels": [3, 3, 2], "expected": 1680}]
+    monkeypatch.setattr(cli, "table1_rows", lambda: rows)
+    code, out, _ = invoke(capsys, "regress", "--max-vertices", "50")
+    assert (code, out) == (1, "FAIL  theta3 (3, 3, 2): got 14, expected 15\n"
+                              "LIMIT KT (3, 3, 2): enumeration hit limits, expected 1680\n")
+
+
 def test_oracle_check_zero_is_not_absent(capsys):
     code, out, err = invoke(capsys, "oracle-check", "--k", "0", "--m", "1", "--n", "1")
     assert code == 1
@@ -212,6 +228,16 @@ def test_input_errors_exit_one(capsys, tmp_path):
     code, _, err = invoke(capsys, "enumerate", "--input", str(bad))
     assert code == 1
     assert "error:" in err
+
+
+@pytest.mark.parametrize("argv, err", [
+    ((), "error: exactly one of --family and --input is required\n"),
+    (("--family", "theta3", "--labels", "3,x"), "error: --labels: bad label list '3,x'\n"),
+    (("--family", "theta3", "--labels", "3,0"), "error: --labels: edge label must be >= 1, got 0\n"),
+])
+def test_command_line_faults_name_the_option(capsys, argv, err):
+    """A fault in the command line has no file position to point at."""
+    assert invoke(capsys, "enumerate", *argv) == (1, "", err)
 
 
 @pytest.mark.parametrize("name", ["presentations/theta3.txt", "diagrams/theta3.txt"])

@@ -18,11 +18,14 @@ from quandleforge import (
     enumerate_quandle,
     expand_relations,
     parse_diagram,
+    parse_presentation,
     quandle_table,
+    render_presentation,
     subdivide_edge,
     verify,
     wirtinger,
 )
+from quandleforge.diagram import parse_input
 from quandleforge.families import load_diagram_text
 from quandleforge.words import FieldError
 
@@ -194,6 +197,19 @@ vertex: 1- 2- 3-
     assert [(l.gen.name, l.sign) for l in pres.universals[0].word] == [
         ("x1", 1), ("x2", 1), ("x3", 1),
     ]
+
+
+def test_parse_input_reads_either_format():
+    """A text with an ``arcs:`` line is a diagram, whatever line it is on;
+    any other text is a presentation, and each keeps its own errors."""
+    for text in (ONE_CROSSING, "# comment\n" + UNKNOT[UNKNOT.index("\n") + 1:] + "arcs: 1\n"):
+        assert render_presentation(parse_input(text)) == render_presentation(wirtinger(parse_diagram(text)))
+    text = "gens: a b\nedges: a:1 b:2\nlabels: 2 3\nrel a : b = a\n"
+    assert render_presentation(parse_input(text)) == render_presentation(parse_presentation(text))
+    with pytest.raises(ParseError, match="line 2, col 1: bad arc count 'x'"):
+        parse_input("labels: 1\narcs: x\n")
+    with pytest.raises(ParseError, match="line 1, col 1: unknown key 'edge'"):
+        parse_input("edge: 1:1\ngens: a\n")
 
 
 def test_subdivide_unknot():

@@ -420,9 +420,7 @@ def test_generator_columns_match_actions():
 
 
 def test_verify_passes_on_h1():
-    from quandleforge.families import load_family_text
-
-    pres = expand_relations(parse_presentation(load_family_text("H1")))
+    pres = expand_relations(family_presentation(FamilyParams("H1")))
     res = enumerate_ok(pres)
     assert res.stats.live == 32
     assert verify(res.graph, pres) == []
@@ -978,6 +976,67 @@ def test_generator_renaming_keeps_the_quandle_on_random_presentations():
 
     check()
     assert sum(completed) >= len(completed) / 2
+
+
+def _with_derived_generator(pres, base, word):
+    """The presentation with a generator h added on ``base``'s edge by the
+    primary relation base^word = h.  This is a Tietze move (Fenn and
+    Rourke, 1992): h names an element the old generators already give,
+    and S_h, a conjugate of S_base, already meets the power relation of
+    their edge, so the N-quandle is the same."""
+    h = GeneratorSymbol(len(pres.generators), "h")
+    return Presentation([*pres.generators, h], {**pres.edge_of, h: pres.edge_of[base]}, pres.labels,
+                        [*pres.primaries, PrimaryRelation(base, word, h)], pres.universals)
+
+
+def assert_same_quandle_on_the_old_generators(old, new):
+    """``new`` enumerates a presentation that extends ``old``'s generators:
+    the same size, sorted component sizes, and canonical code of each old
+    generator's component, read on the old generators' rows."""
+    assert new.stats.live == old.stats.live
+    assert sorted(map(len, components(new.graph)[0])) == sorted(map(len, components(old.graph)[0]))
+    gens = old.graph.pres.generators
+    names = [gen.name for gen in gens]
+    for gen in gens:
+        code = canonical_code_of_actions(new.graph.actions[:len(gens)], int(new.graph.basepoint[gen.id]), names)
+        assert code == canonical_code(old.graph, old.graph.basepoint[gen.id])
+
+
+def test_derived_generator_keeps_the_quandle_on_random_presentations():
+    """Unlike the rewrites above, this move changes the generating set and
+    adds a relation, so an engine fault that depends on the words traced
+    rather than on the quandle presented shows as a changed size or code."""
+    completed = []
+
+    @settings(derandomize=True, database=None, max_examples=100, deadline=None)
+    @given(small_presentations(max_primaries=2), st.data())
+    def check(pres, data):
+        letter = st.builds(Letter, st.sampled_from(pres.generators), st.sampled_from((1, -1)))
+        base = data.draw(st.sampled_from(pres.generators))
+        word = GroupWord(data.draw(st.lists(letter, max_size=4)))
+        limits = EnumerationLimits(3000, 10**6)
+        a = enumerate_quandle(pres, limits)
+        b = enumerate_quandle(_with_derived_generator(pres, base, word), limits)
+        completed.append(a.completed and b.completed)
+        if completed[-1]:
+            assert_same_quandle_on_the_old_generators(a, b)
+
+    check()
+    assert sum(completed) >= len(completed) / 2
+
+
+def test_derived_generator_keeps_the_quandle_on_the_battery():
+    """Two derived generators, each on its own, on each finite diagram."""
+    rng = random.Random(16)
+    for name in ("theta3", "h1", "kt", "hopf", "k4planar", "dh"):
+        pres = wirtinger(parse_diagram(load_diagram_text(name)))
+        before = enumerate_ok(pres, 10**6)
+        for _ in range(2):
+            base = rng.choice(pres.generators)
+            word = GroupWord(Letter(rng.choice(pres.generators), rng.choice((1, -1)))
+                             for _ in range(rng.randint(1, 4)))
+            after = enumerate_ok(_with_derived_generator(pres, base, word), 10**6)
+            assert_same_quandle_on_the_old_generators(before, after)
 
 
 @settings(derandomize=True, database=None, max_examples=100, deadline=None)

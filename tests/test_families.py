@@ -1,5 +1,7 @@
 """Family constructors, closed-form sizes, and the explicit component models."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -15,8 +17,10 @@ from quandleforge import (
     family_presentation,
     gkm_size,
     gkmn_size,
+    parse_diagram,
+    wirtinger,
 )
-from quandleforge.families import GENERATOR_ORDER, load_family_text, table1_rows
+from quandleforge.families import GENERATOR_ORDER, load_diagram_text, table1_rows
 
 
 def enum(pres, limit=200000):
@@ -97,17 +101,19 @@ def test_family_label_length_checked():
 
 
 def test_checksum_guard(monkeypatch):
+    """Both kinds of shipped file, presentation and diagram, are guarded."""
     import quandleforge.families as fam
 
     real = fam._read_data_text
 
     def tampered(name):
         text = real(name)
-        return text + "# tampered\n" if name.endswith("theta3.txt") else text
+        return text + "# tampered\n" if name.endswith(("theta3.txt", "kt.txt")) else text
 
     monkeypatch.setattr(fam, "_read_data_text", tampered)
-    with pytest.raises(ValueError, match="checksum"):
-        fam.load_family_text("theta3")
+    for family in ("theta3", "KT"):
+        with pytest.raises(ValueError, match="checksum"):
+            family_presentation(FamilyParams(family))
 
 
 def test_table1_checksum_guard(monkeypatch):
@@ -139,13 +145,36 @@ def test_twist_family_labels_are_fixed(params, fixed):
 
 
 def test_checksums_cover_all_data_files():
+    """One checksum per shipped data file: a deleted file leaves no entry
+    behind, and no file ships unguarded."""
     import quandleforge.families as fam
 
     sums = fam._checksums()
-    for family in fam._DATA_FILES.values():
-        assert family in sums
+    data = Path(fam.__file__).parent / "data"
+    shipped = {path.relative_to(data).as_posix() for path in data.rglob("*") if path.is_file()}
+    assert set(sums) == shipped - {"checksums.json"}
+    assert set(fam._DATA_FILES.values()) <= set(sums)
     for name in ("unknot", "hopf", "theta3", "kt", "h1", "h2", "dh", "k4planar", "k4knot"):
         assert f"diagrams/{name}.txt" in sums
+    assert {name for name in sums if name.startswith("presentations/")} == {
+        "presentations/theta3.txt", "presentations/k4planar.txt"}
+
+
+def test_kept_presentations_match_their_diagrams():
+    """theta3 and K4planar ship as hand-reduced presentations rather than
+    as their diagrams; on every table1 row of theirs the two give the same
+    size and the same component sizes."""
+    rows = [row for row in table1_rows() if row["family"] in ("theta3", "K4planar")]
+    assert len(rows) == 14
+    for row in rows:
+        labels = tuple(row["labels"])
+        shipped = enum(family_presentation(FamilyParams(row["family"], labels=labels)))
+        diagram = enum(wirtinger(parse_diagram(load_diagram_text(row["family"].lower()))).with_labels(labels))
+        assert shipped.stats.live == diagram.stats.live == row["expected"]
+        (shipped_orbits, shipped_edges), (diagram_orbits, diagram_edges) = (
+            components(shipped.graph), components(diagram.graph))
+        assert sorted(map(len, shipped_orbits)) == sorted(map(len, diagram_orbits))
+        assert shipped_edges == diagram_edges
 
 
 def test_table1_manifest_shape():

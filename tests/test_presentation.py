@@ -5,6 +5,7 @@ import pytest
 from quandleforge import (
     DiagramSpec,
     EnumerationLimits,
+    FamilyParams,
     GeneratorSymbol,
     GroupWord,
     ParseError,
@@ -13,11 +14,12 @@ from quandleforge import (
     UniversalRelation,
     enumerate_quandle,
     expand_relations,
+    family_presentation,
     parse_presentation,
     parse_word,
     render_presentation,
 )
-from quandleforge.families import _DATA_FILES, load_family_text
+from quandleforge.families import _DATA_FILES, _read_data_text
 from quandleforge.words import FieldError
 
 
@@ -73,7 +75,7 @@ def test_parse_errors(text, message):
 @pytest.mark.parametrize(
     "text, where",
     [
-        (load_family_text("theta3").replace("labels: 3 3 2", "labels: 3 3 2 7"),
+        (_read_data_text("presentations/theta3.txt").replace("labels: 3 3 2", "labels: 3 3 2 7"),
          "line 6, col 1: edge 4 has no generator"),
         ("gens: a b\n# comment\nedges: a:1 b:3\nlabels: 1 1\n",
          "line 3, col 1: generator 'b' mapped to edge 3, but only 2 labels given"),
@@ -107,7 +109,8 @@ def _fields(pres):
 
 
 @pytest.mark.parametrize("text", [
-    *(pytest.param(load_family_text(family), id=family) for family in _DATA_FILES),
+    *(pytest.param(render_presentation(family_presentation(FamilyParams(family))), id=family)
+      for family in _DATA_FILES),
     pytest.param("gens: a b\nedges: a:1 b:2\nlabels: 2 3\nrel a : = b\nrel b : a' = a\n",
                  id="empty-primary-word"),
 ])
