@@ -2,13 +2,17 @@
 
 Given a presentation, the engine builds the Cayley graph of the quandle:
 one vertex per element, and for each generator g a bijection sending x
-to x acted on by g.  The construction follows Winker's method:
+to x acted on by g.  A generator labeled 1 or 2 acts as an involution,
+so one table serves as both its action and its inverse, and words are
+traced reduced in the free product, where such a g is its own inverse.
+The construction follows Winker's method:
 
 1. start with one vertex per generator,
 2. add a g-labeled loop at the vertex of g (idempotence),
 3. trace each primary relation x_j^w = x_k as a path from the vertex of
    x_j forced to end at the vertex of x_k, collapsing fully after each
-   relation.  Tracing is an HLT scan: it follows defined edges forward
+   relation; a word that reduces to nothing is a coincidence of the two
+   vertices.  Tracing is an HLT scan: it follows defined edges forward
    from the start and backward from the end, creates vertices only for
    the undefined gap between the two scans, and closes the gap's last
    letter onto the backward end with a new edge or a coincidence,
@@ -20,7 +24,10 @@ to x acted on by g.  The construction follows Winker's method:
    relation of ``expand_relations(pres)`` (the presentation's own, the
    conjugate of each primary and the power relation g^n of each
    generator) by the same scan as a closed loop at each live vertex
-   (collapsing after each trace).
+   (collapsing after each trace).  The power word g g of an involutory
+   g is traced unreduced, since it is what defines g's table at each
+   vertex; any other universal that reduces to nothing traces as the
+   empty loop.
 
 One pass suffices.  A universal loop closed at a vertex stays closed in
 every quotient, since merging maps paths to paths, so re-tracing a
@@ -152,28 +159,31 @@ class CayleyGraph:
     :class:`Quandle`, on which all analysis runs.
 
     Per generator, ``fwd`` and ``bwd`` hold a partial bijection on
-    vertices and its inverse; -1 marks an undefined image.  ``pairs``
-    holds each (table, inverse) pair once, ``(fwd[g], bwd[g])`` at g and
-    ``(bwd[g], fwd[g])`` at ngens + g.  ``parent`` is the union-find
-    structure and the only record of liveness: v is live while
-    ``parent[v] == v``.  Outside :meth:`collapse`, every entry of a live
-    row is -1 or a live vertex, and the two tables of a generator are
-    mutually inverse on live rows, so only ids held elsewhere (the
-    basepoints, the sweep's vertex) are resolved through :meth:`find`.
+    vertices and its inverse; -1 marks an undefined image.  A generator
+    labeled 1 or 2 is an involution, and ``fwd[g] is bwd[g]``: one table
+    T, in which each write ``T[u] = v`` is also the write ``T[v] = u``.
+    ``pairs`` holds ``(fwd[g], bwd[g])`` at g and ``(bwd[g], fwd[g])``
+    at ngens + g, and ``distinct`` holds each distinct (table, inverse)
+    pair once.  ``parent`` is the union-find structure and the only
+    record of liveness: v is live while ``parent[v] == v``.  Outside
+    :meth:`collapse`, every entry of a live row is -1 or a live vertex,
+    and the two tables of a generator are mutually inverse on live rows,
+    so only ids held elsewhere (the basepoints, the sweep's vertex) are
+    resolved through :meth:`find`.
     Each merge kills exactly one vertex, so ``stats.vertices_created -
     stats.merges`` vertices are live.  ``basepoint[g]`` is the vertex of
     generator g.  In a completed graph every action is total on live
     vertices and the vertex of each generator carries a loop under it.
 
-    Storage is indexed by vertex id: ``fwd[g]``, ``bwd[g]`` and
-    ``parent`` are ``array("i")`` int32 tables.  They are grown in place
-    together, by an eighth of their capacity and at least ``_CHUNK``
-    (1024) slots, when a vertex is created at capacity, and compacted in
-    place, so each stays the same object for the graph's whole life.
-    ``size`` rows are in use, live or dead; slots past it hold -1.  A row
-    costs 8 g + 4 bytes for g generators, and :meth:`run` compacts
-    whenever dead rows outnumber live ones, so the rows held stay within
-    about twice the peak live count.  ``limits.max_vertices`` bounds
+    Storage is indexed by vertex id: the tables and ``parent`` are
+    ``array("i")`` int32 tables.  They are grown in place together, by an
+    eighth of their capacity and at least ``_CHUNK`` (1024) slots, when a
+    vertex is created at capacity, and compacted in place, so each stays
+    the same object for the graph's whole life.  ``size`` rows are in
+    use, live or dead; slots past it hold -1.  A row costs 4 (2 g - i) + 4
+    bytes for g generators, i of them labeled 1 or 2, and :meth:`run`
+    compacts whenever dead rows outnumber live ones, so the rows held stay
+    within about twice the peak live count.  ``limits.max_vertices`` bounds
     created vertices, not live ones or rows held.
     """
 
@@ -182,8 +192,12 @@ class CayleyGraph:
         self.limits = limits
         ngens = len(pres.generators)
         self.fwd: list[array] = [array("i") for _ in range(ngens)]
-        self.bwd: list[array] = [array("i") for _ in range(ngens)]
+        # an involution is its own inverse, so one table serves as both
+        self.bwd: list[array] = [
+            table if pres.label_of(gen) <= 2 else array("i") for table, gen in zip(self.fwd, pres.generators)
+        ]
         self.pairs = list(zip(self.fwd + self.bwd, self.bwd + self.fwd))
+        self.distinct = self.pairs[:ngens] + [(b, f) for f, b in zip(self.fwd, self.bwd) if b is not f]
         self.parent = array("i")
         self.size = 0
         self.stats = EnumerationStats()
@@ -197,7 +211,7 @@ class CayleyGraph:
 
     def _grow(self) -> None:
         undefined = array("i", [-1]) * max(len(self.parent) // 8, _CHUNK)
-        for table, _ in self.pairs:
+        for table, _ in self.distinct:
             table.extend(undefined)
         self.parent.extend(undefined)
 
@@ -247,7 +261,7 @@ class CayleyGraph:
         new_id = np.full(size + 1, -1, dtype=np.int32)
         new_id[live] = np.arange(k, dtype=np.int32)
         self.basepoint[:] = new_id[[self.find(b) for b in self.basepoint]].tolist()
-        for table, _ in self.pairs:
+        for table, _ in self.distinct:
             rows = np.frombuffer(table, dtype=np.int32, count=size)
             rows[:k] = new_id[rows[live]]
             rows[k:] = -1
@@ -258,17 +272,42 @@ class CayleyGraph:
 
     # -- tracing and collapsing ---------------------------------------------
 
-    def letters(self, word: GroupWord) -> list[tuple[array, array]]:
-        """The (out table, in table) pair of each letter, as :meth:`trace` takes them."""
+    def letters(self, word: GroupWord, loop: bool = False) -> list[tuple[array, array]]:
+        """The (out table, in table) pair of each letter, as :meth:`trace`
+        takes them, for the word reduced in the free product.
+
+        Two adjacent letters cancel when the second one's out table is the
+        first one's in table.  A ``GroupWord`` is already freely reduced,
+        so this cancels ``g g``, ``g g'`` and ``g' g`` for an involutory g
+        (label 1 or 2), whose one table is both, and then any pair such a
+        cancellation brings together: tracing ``g g`` would overwrite the
+        entry its first letter just wrote.  The
+        one word kept unreduced is the power word of an involutory g traced
+        as a closed loop (``loop`` true): two equal letters of g, since
+        tracing it is what defines g's table at each vertex.  Any other
+        word that reduces to nothing is traced as the empty word.
+        """
         ngens = len(self.fwd)
-        return [self.pairs[letter.gen.id if letter.sign > 0 else ngens + letter.gen.id] for letter in word]
+        pairs = [self.pairs[letter.gen.id if letter.sign > 0 else ngens + letter.gen.id] for letter in word]
+        if loop and len(pairs) == 2 and word.letters[0] == word.letters[1] and pairs[0][0] is pairs[0][1]:
+            return pairs
+        reduced: list[tuple[array, array]] = []
+        for pair in pairs:
+            if reduced and reduced[-1][1] is pair[0]:
+                reduced.pop()
+            else:
+                reduced.append(pair)
+        return reduced
 
     def trace(self, start: int, letters, target: int | None = None) -> list[tuple[int, int]]:
         """Scan a word from ``start`` to ``target``, filling in the gap.
 
         ``letters`` holds one (out table, in table) pair per letter of a
-        freely reduced word: ``(fwd[g], bwd[g])`` for a generator g and
-        ``(bwd[g], fwd[g])`` for its inverse.  The path must end at
+        word reduced in the free product, as :meth:`letters` gives it:
+        ``(fwd[g], bwd[g])`` for a generator g and ``(bwd[g], fwd[g])``
+        for its inverse, so no letter's out table is the in table of the
+        letter before, except in the power word ``g g`` of an involutory
+        g traced as a closed loop.  The path must end at
         ``target`` (``start`` itself when ``target`` is None, i.e. a
         universal relation traced as a closed loop).  Both must be live:
         table entries are read without :meth:`find`.  The scan follows
@@ -315,8 +354,10 @@ class CayleyGraph:
         out_table, in_table = letters[last]
         back = in_table[end]
         if back >= 0:
-            # out_table[cur] is undefined, so back is another vertex
-            return [(back, cur)]
+            # out_table[cur] was undefined, so back is another vertex, but
+            # on the power word g g the gap vertex's write T[cur] = end
+            # already closed the loop, and back is cur
+            return [(back, cur)] if back != cur else []
         out_table[cur] = end
         in_table[end] = cur
         return []
@@ -334,7 +375,7 @@ class CayleyGraph:
         """
         parent = self.parent
         find = self.find
-        pairs = self.pairs
+        pairs = self.distinct
         max_steps = self.limits.max_steps
         steps, merges = self.stats.steps, self.stats.merges
         try:
@@ -381,7 +422,7 @@ class CayleyGraph:
         compacted if at least ``_CHUNK`` rows are dead and dead rows
         outnumber live ones."""
         pres, stats = self.pres, self.stats
-        universals = [self.letters(rel.word) for rel in expand_relations(pres).universals]
+        universals = [self.letters(rel.word, loop=True) for rel in expand_relations(pres).universals]
         try:
             for rel in pres.primaries:
                 start = self.find(self.basepoint[rel.lhs_base.id])
@@ -418,18 +459,18 @@ class CayleyGraph:
 
         Finalizing is the last :meth:`compact`: afterwards the live
         vertices are numbered 0..n-1 in creation order and vertex ids are
-        element indices, so the first n entries of each table are copied
-        as they stand.  Undefined images stay -1.
+        element indices, so the first n entries of each distinct table are
+        copied once as they stand, and a shared table's copy gives both
+        its generator's ``actions`` and ``inverses`` rows.  Undefined
+        images stay -1.
         """
         n = self.compact(self.size)
-
-        def copy(tables):
-            rows = np.empty((len(tables), n), dtype=np.int64)
-            for table, row in zip(tables, rows):
-                row[:] = np.frombuffer(table, dtype=np.int32, count=n)
-            return rows
-
-        arrays = (copy(self.fwd), copy(self.bwd), np.array(self.basepoint, dtype=np.int64))
+        actions = np.empty((len(self.fwd), n), dtype=np.int64)
+        inverses = np.empty_like(actions)
+        for g, (table, inverse) in enumerate(zip(self.fwd, self.bwd)):
+            actions[g] = np.frombuffer(table, dtype=np.int32, count=n)
+            inverses[g] = actions[g] if inverse is table else np.frombuffer(inverse, dtype=np.int32, count=n)
+        arrays = (actions, inverses, np.array(self.basepoint, dtype=np.int64))
         for a in arrays:
             a.flags.writeable = False
         return Quandle(self.pres, *arrays)

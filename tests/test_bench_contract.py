@@ -63,4 +63,4 @@ def test_k4knot_probe_contract():
     assert result.outcome == "limit-exceeded"
     keys = ("vertices_created", "merges", "relations_traced", "steps", "live")
     (counters,) = rec.counters.values()  # what the benchmark compares across trees
-    assert counters == dict(zip(keys, (125257, 76522, 314376, 1000001, 48735)))
+    assert counters == dict(zip(keys, (112540, 63313, 318873, 1000001, 49227)))

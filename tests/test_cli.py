@@ -319,6 +319,26 @@ def test_python_dash_m():
     assert "final_size=14" in proc.stdout
 
 
+def test_closed_stdout_ends_quietly():
+    """A reader that stops early (as ``| head`` does) ends the command with
+    exit 1 and nothing on stderr.  The table, about 450 kB, outgrows the
+    pipe buffer, so the command is still writing when the pipe closes."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "quandleforge", "enumerate", "--family", "H1", "--labels", "3,3,2",
+         "--format", "table"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    try:
+        assert proc.stdout.readline()
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+    finally:
+        proc.kill()
+    assert (proc.returncode, err) == (1, b"")
+
+
 def test_int32_vertex_limit_exits_one(capsys):
     code, out, err = invoke(capsys, "enumerate", "--family", "theta3", "--labels", "3,3,2",
                             "--max-vertices", "3000000000")

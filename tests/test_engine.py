@@ -2,6 +2,7 @@
 
 import random
 import tracemalloc
+from array import array
 
 import numpy as np
 import pytest
@@ -142,10 +143,27 @@ class UncompactedGraph(CayleyGraph):
         return engine.Quandle(self.pres, *arrays)
 
 
+class TwoTableGraph(CayleyGraph):
+    """The enumerator before involutory generators shared a table, kept as
+    a reference: two tables for every generator whatever its label, and
+    words traced as ``GroupWord`` reduces them, with no reduction in the
+    free product."""
+
+    def __init__(self, pres, limits):
+        super().__init__(pres, limits)
+        self.bwd = [array("i", b) if b is f else b for f, b in zip(self.fwd, self.bwd)]
+        self.pairs = self.distinct = list(zip(self.fwd + self.bwd, self.bwd + self.fwd))
+
+    def letters(self, word, loop=False):
+        ngens = len(self.fwd)
+        return [self.pairs[letter.gen.id if letter.sign > 0 else ngens + letter.gen.id] for letter in word]
+
+
 class InvariantCheckingGraph(CayleyGraph):
     """The enumerator, checking after each collapse that every entry of a
-    live row is -1 or a live vertex, and that ``fwd[g]`` and ``bwd[g]``
-    are mutually inverse on the live rows."""
+    live row is -1 or a live vertex, that ``fwd[g]`` and ``bwd[g]`` are
+    mutually inverse on the live rows, and that the one table of each
+    involutory generator is an involution there."""
 
     checked = 0
 
@@ -161,6 +179,12 @@ class InvariantCheckingGraph(CayleyGraph):
             defined = rows >= 0
             back = np.frombuffer(inverse, dtype=np.int32, count=size)[rows[defined]]
             assert np.array_equal(back, live[defined]), "fwd and bwd disagree on live rows"
+        for gen, table, inverse in zip(self.pres.generators, self.fwd, self.bwd):
+            assert (table is inverse) == (self.pres.label_of(gen) <= 2)
+            if table is inverse:
+                rows = np.frombuffer(table, dtype=np.int32, count=size)
+                defined = live[rows[live] >= 0]
+                assert np.array_equal(rows[rows[defined]], defined), "a shared table is no involution"
         self.checked += 1
 
 
@@ -218,9 +242,9 @@ def test_step_limit_hit_inside_collapse():
     )
 
 
-def _fresh_graph(cls=CayleyGraph):
+def _fresh_graph(cls=CayleyGraph, labels=(2, 2, 2)):
     # enumeration state right after the basepoint loops, no relations traced
-    pres = theta((2, 2, 2))
+    pres = theta(labels)
     return pres, cls(pres, EnumerationLimits(1000, 10**6))
 
 
@@ -301,8 +325,23 @@ def test_trace_scans_meeting_at_different_vertices_return_one_pair():
     assert graph.stats.vertices_created == 4
 
 
-def test_trace_complete_forward_scan_returns_endpoints():
+def test_trace_power_word_of_an_involution_defines_its_table():
+    """Tracing a a at a vertex where a's one table is undefined creates one
+    vertex, and its write T[new] = v already closes the loop: no pair."""
     pres, graph = _fresh_graph()
+    a = pres.generators[0]
+    table = graph.fwd[a.id]
+    v = graph.add_vertex()
+    power = graph.letters(GroupWord([Letter(a, 1)] * 2), loop=True)
+    assert graph.trace(v, power) == []
+    assert (table[v], table[v + 1]) == (v + 1, v)
+    assert graph.trace(v + 1, power) == []  # now defined both ways
+    assert graph.stats.vertices_created == 5
+
+
+def test_trace_complete_forward_scan_returns_endpoints():
+    # b labeled 3, since b b of an involutory b reduces to the empty word
+    pres, graph = _fresh_graph(labels=(2, 3, 2))
     syms = {g.name: g for g in pres.generators}
     vb, vc = graph.basepoint[syms["b"].id], graph.basepoint[syms["c"].id]
     assert graph.trace(vb, graph.letters(parse_word("b b", syms)), vc) == [(vb, vc)]
@@ -334,8 +373,9 @@ def test_collapse_merges_disjoint_edges():
 
 
 def test_collapse_cascades():
-    pres, graph = _fresh_graph()
+    pres, graph = _fresh_graph(labels=(3, 2, 2))
     a = pres.generators[0].id
+    assert graph.fwd[a] is not graph.bwd[a]  # label 3: two tables, written apart
     vs = [graph.add_vertex() for _ in range(6)]
     for i in range(2, 6):
         graph.fwd[a][vs[i - 2]] = vs[i]
@@ -346,6 +386,54 @@ def test_collapse_cascades():
     assert graph.find(vs[3]) == vs[2]
     assert graph.find(vs[5]) == vs[4]
     assert graph.stats.merges == 3
+
+
+def test_collapse_cascades_through_shared_tables():
+    """The same cascade along involutions: a and b are labeled 2, so each
+    has one table, in which the write T[u] = v goes with T[v] = u."""
+    pres, graph = _fresh_graph()
+    ta, tb = (graph.fwd[gen.id] for gen in pres.generators[:2])
+    assert ta is graph.bwd[pres.generators[0].id]
+    vs = [graph.add_vertex() for _ in range(6)]
+    for table, u, v in ((ta, 0, 2), (ta, 1, 3), (tb, 2, 4), (tb, 3, 5)):
+        table[vs[u]], table[vs[v]] = vs[v], vs[u]
+    graph.collapse([(vs[0], vs[1])])
+    # v0=v1 forces v2=v3 along a, which forces v4=v5 along b
+    assert [graph.find(v) for v in vs] == [vs[0], vs[0], vs[2], vs[2], vs[4], vs[4]]
+    assert graph.stats.merges == 3
+    assert (ta[vs[0]], ta[vs[2]], tb[vs[2]], tb[vs[4]]) == (vs[2], vs[0], vs[4], vs[2])
+
+
+def test_letters_reduce_in_the_free_product():
+    pres = theta((2, 2, 3))  # a and b involutory, c not
+    graph = CayleyGraph(pres, EnumerationLimits(1000, 10**6))
+    syms = {g.name: g for g in pres.generators}
+    ta, tc = graph.fwd[syms["a"].id], graph.fwd[syms["c"].id]
+
+    def letters(text, loop=False):
+        return graph.letters(parse_word(text, syms), loop)
+
+    for word in ("a a", "a a'", "a' a", "a' a'", "a b b a'"):
+        assert letters(word) == [], word
+        assert letters(word, loop=True) == ([(ta, ta)] * 2 if word in ("a a", "a' a'") else []), word
+    assert letters("c c") == letters("c c", loop=True) == [(tc, graph.bwd[syms["c"].id])] * 2
+    assert letters("a b a a b c") == [(ta, ta), letters("c")[0]]
+
+
+@pytest.mark.parametrize("text, size", [
+    # the smallest input on which sharing the tables without the reduction
+    # left a partial action
+    ("gens: a b\nedges: a:1 b:2\nlabels: 2 2\nrel * : b' b' b' a\n", 2),
+    # a primary whose word is the power word of an involutory generator,
+    # which only a closed loop may trace unreduced
+    ("gens: a b c\nedges: a:1 b:2 c:3\nlabels: 2 2 2\nrel a : b b = c\nrel * : a b c\n", 3),
+])
+def test_shared_tables_close_every_action(text, size):
+    pres = expand_relations(parse_presentation(text))
+    quandle = enumerate_ok(pres).graph
+    assert quandle.actions.shape[1] == size
+    assert (quandle.actions >= 0).all() and (quandle.inverses >= 0).all()
+    assert verify(quandle, pres) == []
 
 
 @pytest.mark.parametrize(
@@ -754,17 +842,18 @@ def test_limits_reject_vertex_ids_beyond_int32():
         EnumerationLimits(max_vertices=2**31)
 
 
-# engine counters of the gap-only scan; any change to the algorithm, its
-# order or its numbering shows here.  Against the forward-only walk
-# (ForwardOnlyGraph), created, merges and steps fell; live and relations
-# traced of the completed runs are unchanged
+# engine counters of the gap-only scan on shared involution tables; any
+# change to the algorithm, its order or its numbering shows here.  Against
+# the two-table engine (TwoTableGraph), created and merges fell on all
+# but theta3(3,3,2), where they are equal; live and relations traced of
+# the completed runs are unchanged
 @pytest.mark.parametrize("params, limits, counters", [
-    (FamilyParams("K4knot"), EnumerationLimits(2_000_000, 20_000), (3526, 1236, 6389, 20001, 2290)),
-    (FamilyParams("K4knot"), EnumerationLimits(5000, 10**9), (5000, 1701, 9001, 28142, 3299)),
-    (FamilyParams("K4knot"), EnumerationLimits(2_000_000, 200_000), (28423, 14768, 63059, 200001, 13655)),
-    (FamilyParams("K4knot"), EnumerationLimits(40_000, 10**9), (40000, 21841, 91705, 291225, 18159)),
-    (FamilyParams("Gkmn", k=2, m=3, n=5), EnumerationLimits(), (772, 620, 1540, 5856, 152)),
-    (FamilyParams("DH", labels=(2, 2, 2, 3, 2, 2)), EnumerationLimits(), (353, 251, 1430, 4027, 102)),
+    (FamilyParams("K4knot"), EnumerationLimits(2_000_000, 20_000), (3268, 960, 6483, 20001, 2308)),
+    (FamilyParams("K4knot"), EnumerationLimits(5000, 10**9), (5000, 1476, 9913, 30596, 3524)),
+    (FamilyParams("K4knot"), EnumerationLimits(2_000_000, 200_000), (25950, 12147, 63950, 200001, 13803)),
+    (FamilyParams("K4knot"), EnumerationLimits(40_000, 10**9), (40000, 19983, 102669, 321574, 20017)),
+    (FamilyParams("Gkmn", k=2, m=3, n=5), EnumerationLimits(), (557, 405, 1540, 5641, 152)),
+    (FamilyParams("DH", labels=(2, 2, 2, 3, 2, 2)), EnumerationLimits(), (202, 100, 1430, 3876, 102)),
     (FamilyParams("theta3", labels=(3, 3, 2)), EnumerationLimits(), (18, 4, 56, 158, 14)),
 ])
 def test_engine_counters_pinned(params, limits, counters):
@@ -774,11 +863,14 @@ def test_engine_counters_pinned(params, limits, counters):
 
 
 def test_memory_per_created_vertex():
-    """int32 tables and one parent entry per vertex id: about 8 g + 20
-    bytes per created vertex, live or dead."""
+    """int32 tables, one per involutory generator and two per other one,
+    and one parent entry per vertex id: about 4 (2 g - i) + 10 bytes per
+    created vertex, live or dead, for i of the g generators involutory
+    (66 bytes here, with g = 9 and i = 4)."""
     pres = expand_relations(family_presentation(FamilyParams("K4knot")))
     g = len(pres.generators)
-    assert g == 9
+    i = sum(pres.label_of(gen) <= 2 for gen in pres.generators)
+    assert (g, i) == (9, 4)
     tracemalloc.start()
     try:
         res = enumerate_quandle(pres, EnumerationLimits(2_000_000, 200_000))
@@ -786,8 +878,8 @@ def test_memory_per_created_vertex():
     finally:
         tracemalloc.stop()
     assert res.outcome == "limit-exceeded"
-    assert res.stats.vertices_created == 28423
-    assert peak / res.stats.vertices_created <= 8 * g + 64
+    assert res.stats.vertices_created == 25950
+    assert peak / res.stats.vertices_created <= 4 * (2 * g - i) + 64
 
 
 def _run_both(pres, limits):
@@ -873,6 +965,52 @@ def test_gap_scan_matches_forward_only_walk_on_random_presentations(brute_force,
     # primary joining generators of unequal labels whatever the engine does
     if done and all(pres.label_of(r.lhs_base) == pres.label_of(r.rhs) for r in pres.primaries):
         assert verify(graph.finalize(), pres) == []
+
+
+@pytest.mark.parametrize(
+    "params", [p for _, p in EQUIVALENCE_INPUTS], ids=[name for name, _ in EQUIVALENCE_INPUTS]
+)
+def test_shared_tables_match_two_tables(params):
+    """Sharing the involutions' tables gives the two-table engine's quandle,
+    numbered the same, from no more created vertices.  No proof is known
+    that it must: on random presentations both can differ (below)."""
+    if params is None:
+        pres = expand_relations(wirtinger(parse_diagram(load_diagram_text("kt"))))
+    else:
+        pres = expand_relations(family_presentation(params))
+    limits = EnumerationLimits(2_000_000, 10**9)
+    reference, graph = TwoTableGraph(pres, limits), CayleyGraph(pres, limits)
+    assert reference.run() and graph.run()
+    a, b = reference.finalize(), graph.finalize()
+    for name in ("actions", "inverses", "basepoint"):
+        assert getattr(a, name).dtype == getattr(b, name).dtype, name
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+    assert graph.stats.live == reference.stats.live
+    assert graph.stats.vertices_created <= reference.stats.vertices_created
+
+
+def test_shared_tables_match_two_tables_on_random_presentations():
+    """The same quandle as the two-table engine's up to renumbering: the
+    size and the canonical code of every generator's component.  Over
+    3,000 such examples, 9 of 2,539 completed ones were numbered apart and
+    14 created more vertices than the two-table engine, so neither the
+    numbering nor the count is compared here."""
+    completed = []
+
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @given(small_presentations(max_primaries=2))
+    def check(pres):
+        limits = EnumerationLimits(3000, 10**6)
+        reference, graph = TwoTableGraph(pres, limits), CayleyGraph(pres, limits)
+        completed.append(reference.run() and graph.run())
+        if completed[-1]:
+            a, b = reference.finalize(), graph.finalize()
+            assert graph.stats.live == reference.stats.live
+            for g in range(len(pres.generators)):
+                assert canonical_code(b, b.basepoint[g]) == canonical_code(a, a.basepoint[g])
+
+    check()
+    assert sum(completed) >= len(completed) / 2
 
 
 def test_universal_rewrites_keep_sizes_on_random_presentations():
@@ -1075,8 +1213,9 @@ def test_compaction_changes_no_output(params):
         assert len(graph.parent) < graph.stats.vertices_created
 
 
+# budgets at which dead rows have come to outnumber live ones, so the run compacts
 @pytest.mark.parametrize("limits", [
-    EnumerationLimits(2_000_000, 200_000), EnumerationLimits(40_000, 10**9),
+    EnumerationLimits(2_000_000, 400_000), EnumerationLimits(60_000, 10**9),
 ])
 def test_compaction_changes_no_counter_of_a_limited_run(limits):
     pres = expand_relations(family_presentation(FamilyParams("K4knot")))
@@ -1087,11 +1226,12 @@ def test_compaction_changes_no_counter_of_a_limited_run(limits):
 
 
 def test_rows_held_follow_the_live_count():
-    """Gkmn(16,8,8) creates 200,297 vertices, at most 51,499 of them live
+    """Gkmn(16,8,8) creates 115,273 vertices, at most 34,555 of them live
     at once; compaction keeps the rows held within twice that peak plus
     one growth chunk."""
     graph = PeakLiveGraph(expand_relations(family_presentation(GKMN_16_8_8)), EnumerationLimits())
     assert graph.run()
-    assert graph.peak_live == 51_499
+    assert graph.stats.vertices_created == 115_273
+    assert graph.peak_live == 34_555
     assert all(len(table) == len(graph.parent) for table, _ in graph.pairs)
     assert len(graph.parent) <= 2 * graph.peak_live + engine._CHUNK
