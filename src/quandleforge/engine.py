@@ -706,6 +706,37 @@ def _preserves_table(rows: np.ndarray, row_of: np.ndarray, u: np.ndarray, xs: np
     return True
 
 
+def _generating_set(ngens: int, closed: list[GroupWord]) -> list[int]:
+    """A small set of generator ids from which every other generator follows.
+
+    Generator g follows when some word in ``closed`` holds it exactly once
+    and every other letter of that word follows.  Each round adds the
+    generator, among those that do not yet follow, that makes the most
+    generators follow; ties go to the lowest id.
+    """
+    rules = []  # (g, the other generators of a word that holds g once)
+    for word in closed:
+        ids = [letter.gen.id for letter in word]
+        rules += [(g, set(ids) - {g}) for g in set(ids) if ids.count(g) == 1]
+
+    def closure(known: set[int]) -> set[int]:
+        known = set(known)
+        while new := {g for g, others in rules if g not in known and others <= known}:
+            known |= new
+        return known
+
+    chosen: list[int] = []
+    known = closure(set())
+    while len(known) < ngens:
+        best = max(
+            (g for g in range(ngens) if g not in known),
+            key=lambda g: (len(closure(known | {g})), -g),
+        )
+        chosen.append(best)
+        known = closure(known | {best})
+    return sorted(chosen)
+
+
 def verify(quandle: Quandle, pres: Presentation) -> list[str]:
     """Check a finished quandle against the quandle axioms and relations.
 
@@ -723,16 +754,36 @@ def verify(quandle: Quandle, pres: Presentation) -> list[str]:
     tree from the basepoints (see :func:`_symmetry_rows`) in the narrowest
     unsigned dtype that holds n - 1.  It is checked for the generator
     columns S_(b_g) = A_g at each basepoint b_g, which alone compares two
-    generators that share a basepoint, and for A3 under every generator
-    A_g: the conjugation consistency S_(A_g z) = A_g S_z A_g^(-1) at each
+    generators that share a basepoint, and for A3 under generators A_g:
+    the conjugation consistency S_(A_g z) = A_g S_z A_g^(-1) at each
     checked element z, which at every z says A_g is an automorphism.
 
     - While the n x n table takes at most ``_TABLE_BUDGET`` bytes (64 MiB:
-      up to 5792 elements in uint16), it is built whole and checked at
-      every element, in row blocks of ``_BLOCK_ENTRIES`` (2^16) entries.
+      up to 5792 elements in uint16), it is built whole, and A3 runs in
+      row blocks of ``_BLOCK_ENTRIES`` (2^16) entries under the generators
+      of :func:`_generating_set` only, each at every element, or, where
+      the power loop g g is closed, at the elements z with A_g z >= z.
     - Above the budget, the same checks run at ``_SAMPLE_SIZE`` (64)
       elements z drawn with a fixed seed: only the symmetries of z, of
-      every A_g z and of the basepoints are built.
+      every A_g z and of the basepoints are built.  A3 runs there under
+      every generator at every sampled z, as the arguments below need
+      every element.
+
+    The whole-table A3 check leaves nothing out.  Write P(u) for
+    S_(u z) = u S_z u^(-1) at every z.  The permutations u with P(u) form
+    a group: P(u) and P(v) give S_(u v z) = u v S_z v^(-1) u^(-1), and
+    P(u) at u^(-1) z gives P(u^(-1)).  A universal loop found closed at
+    every element says a product of generator actions and their inverses
+    (the inverses passed the check above) is the identity, so a generator
+    written once in it has an action that is a product of the others'.
+    If every other letter's action has P, so has its action:
+    :func:`_generating_set` picks generators from which every other
+    follows this way, through closed loops only, so P under each of them
+    gives P under all.  And where g g is closed, A_g is an involution, so
+    P(A_g) at A_g z is P(A_g) at z conjugated by A_g: one condition per
+    orbit {z, A_g z} suffices.  So A3 fails under some generator exactly
+    when it fails under a checked one, though a report may name fewer
+    generators than checking them all would.
 
     A1 and A2 hold on the table by its construction, so neither is checked
     on it.  A root's row is its generator's action A_g, and every other row
@@ -786,10 +837,13 @@ def verify(quandle: Quandle, pres: Presentation) -> list[str]:
         if quandle.follow(rel.word, bases[rel.lhs_base.id]) != bases[rel.rhs.id]:
             violations.append(f"primary relation {rel} does not hold")
 
+    closed: list[GroupWord] = []
     for rel in expand_relations(pres).universals:
         open_at = np.flatnonzero(quandle.follow(rel.word, identity) != identity)
         if open_at.size:
             violations.append(f"universal relation {rel} open at element {open_at[0]}")
+        else:
+            closed.append(rel.word)
 
     root = _orbits(quandle)
     orbit_label: dict[int, int] = {}
@@ -800,8 +854,15 @@ def verify(quandle: Quandle, pres: Presentation) -> list[str]:
 
     if _table_fits(n):
         sample = identity
+        # where g g is closed, A_g is an involution: A3 at z and at A_g z is one condition
+        involutions = {w.letters[0].gen.id for w in closed if len(w) == 2 and w.letters[0] == w.letters[1]}
+        checks = [
+            (g, np.flatnonzero(actions[g] >= identity) if g in involutions else identity)
+            for g in _generating_set(len(gens), closed)
+        ]
     else:  # a fixed seed: the same elements on every run
         sample = np.sort(np.random.default_rng(0).choice(n, min(n, _SAMPLE_SIZE), replace=False))
+        checks = [(g, sample) for g in range(len(gens))]  # the group argument needs every element
     targets = np.unique(np.concatenate([sample, actions[:, sample].ravel(), bases]))
     rows = _symmetry_rows(quandle, targets)  # row_of[x]: the row of S_x, column x of the table
     row_of = np.full(n, -1)
@@ -810,9 +871,9 @@ def verify(quandle: Quandle, pres: Presentation) -> list[str]:
         if not np.array_equal(rows[row_of[bases[g]]], actions[g]):
             violations.append(f"table column of {gen.name} differs from its stored action")
 
-    for g, gen in enumerate(gens):
-        if not _preserves_table(rows, row_of, actions[g], sample):
-            violations.append(f"axiom A3 fails under the point symmetry of {gen.name}")
+    for g, xs in checks:
+        if not _preserves_table(rows, row_of, actions[g], xs):
+            violations.append(f"axiom A3 fails under the point symmetry of {gens[g].name}")
 
     return violations
 

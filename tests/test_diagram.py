@@ -2,9 +2,13 @@
 
 The structural results exercised here: deleting an edge labeled 1 drops
 exactly that edge's component; subdividing an edge adds an isomorphic
-copy of its component; and refining labels (componentwise divisors) can
-only shrink the quandle.
+copy of its component; refining labels (componentwise divisors) can
+only shrink the quandle; and the Reidemeister moves R1 and R2 leave it
+as it is.
 """
+
+import random
+from dataclasses import replace
 
 import pytest
 
@@ -314,6 +318,61 @@ def test_subdivision_size_identity(case):
     out = subdivide_edge(spec, edge)
     after = enum_size(out)
     assert after == before + edge_sizes[edge]
+
+
+def _move_terminal_end(spec, arc, new_arc):
+    """The crossings and vertices of ``spec`` with the terminal end of
+    ``arc`` (an under strand's in arc, or a vertex's ``+`` end) handed to
+    ``new_arc``."""
+    crossings = [replace(x, under_in=new_arc) if x.under_in == arc else x for x in spec.crossings]
+    vertices = [tuple((new_arc, 1) if end == (arc, 1) else end for end in v) for v in spec.vertices]
+    return crossings, vertices
+
+
+def r1_kink(spec, arc, over_new, sign):
+    """Reidemeister I: a kink splits ``arc`` into arc and a new arc arc',
+    which takes arc's terminal end, at a crossing over arc' (``over_new``)
+    or over arc.  Either relation gives x_arc' = x_arc."""
+    new = spec.arc_count + 1
+    crossings, vertices = _move_terminal_end(spec, arc, new)
+    crossings.append(Crossing(sign, new if over_new else arc, arc, new))
+    return DiagramSpec(new, {**spec.arc_edge, new: spec.arc_edge[arc]}, spec.labels, crossings, vertices)
+
+
+def r2_poke(spec, arc, over, sign):
+    """Reidemeister II: ``arc`` pokes under arc ``over`` and back, splitting
+    into arc, arc' and arc'', which takes arc's terminal end.  The two
+    crossings give x_arc' = x_arc acted on by x_over^sign and
+    x_arc'' = x_arc."""
+    mid, end = spec.arc_count + 1, spec.arc_count + 2
+    crossings, vertices = _move_terminal_end(spec, arc, end)
+    crossings += [Crossing(sign, over, arc, mid), Crossing(-sign, over, mid, end)]
+    edge = spec.arc_edge[arc]
+    return DiagramSpec(end, {**spec.arc_edge, mid: edge, end: edge}, spec.labels, crossings, vertices)
+
+
+BATTERY = ("theta3", "h1", "kt", "hopf", "k4planar", "dh")
+
+
+@pytest.mark.parametrize("name", BATTERY)
+def test_reidemeister_moves_keep_the_quandle_on_the_battery(name):
+    """As presentations both moves add generators that the old ones give
+    (Tietze moves), so the size and every edge's component size stay, and
+    verify passes: its A3 check set leaves out generators that such
+    relations give."""
+    spec = parse_diagram(load_diagram_text(name))
+    want = edge_component_sizes(spec)
+    rng = random.Random(name)
+    arc = rng.randint(1, spec.arc_count)
+    over = rng.choice([a for a in range(1, spec.arc_count + 1) if a != arc])
+    moved = [r1_kink(spec, arc, True, rng.choice((1, -1))),
+             r1_kink(spec, arc, False, rng.choice((1, -1))),
+             r2_poke(spec, arc, over, rng.choice((1, -1)))]
+    for out in moved:
+        assert edge_component_sizes(out) == want, out
+        pres = expand_relations(wirtinger(out))
+        res = enumerate_quandle(pres, EnumerationLimits(300000, 10**9))
+        assert verify(res.graph, pres) == [], out
 
 
 def test_delete_equality_with_unit_label():

@@ -728,6 +728,148 @@ def test_sampled_check_passes_on_table1(monkeypatch):
         assert verify(quandle, pres) == [], row
 
 
+def reference_a3_failures(quandle):
+    """The generators under which A3 fails on the whole table, checked
+    under every generator at every element: the check verify makes on a
+    smaller set of generators and elements."""
+    actions = quandle.actions
+    identity = np.arange(actions.shape[1])
+    rows = engine._symmetry_rows(quandle, identity)
+    return [g for g in range(len(actions)) if not engine._preserves_table(rows, identity, actions[g], identity)]
+
+
+A3_LINE = "axiom A3 fails under the point symmetry of "
+
+
+def assert_verify_matches_reference(quandle, pres):
+    """verify reports a violation exactly when the check under every
+    generator does, and an A3 line exactly when some generator fails it,
+    naming only generators that fail it."""
+    try:
+        failing = {quandle.pres.generators[g].name for g in reference_a3_failures(quandle)}
+    except ValueError:  # a swap can cut elements off the basepoints: no table, either way
+        with pytest.raises(ValueError, match="unreachable"):
+            verify(quandle, pres)
+        return None
+    report = verify(quandle, pres)
+    named = {m.removeprefix(A3_LINE) for m in report if m.startswith(A3_LINE)}
+    others = [m for m in report if not m.startswith(A3_LINE)]
+    assert (report == []) == (others == [] and not failing), report
+    assert bool(named) == bool(failing), (report, failing)
+    assert named <= failing, (report, failing)
+    return report
+
+
+def family_quandle(family, labels):
+    pres = expand_relations(family_presentation(FamilyParams(family, labels=tuple(labels))))
+    return enumerate_ok(pres, limit=10**6).graph, pres
+
+
+def test_verify_matches_the_every_generator_check_on_table1():
+    for row in TABLE1_BELOW_10K:
+        quandle, pres = family_quandle(row["family"], row["labels"])
+        assert assert_verify_matches_reference(quandle, pres) == [], row
+
+
+# (family, labels, seeded swap trials); the rows are small, since the
+# reference builds the whole table for each trial
+SWAP_ROWS = [
+    ("theta3", (5, 3, 2), 150),
+    ("H1", (3, 2, 2), 150),
+    ("DH", (2, 2, 2, 3, 2, 2), 150),
+    ("K4planar", (3, 3, 2, 2, 2, 2), 150),
+    ("H2", (3, 2, 2), 40),
+]
+
+
+@pytest.mark.parametrize("family, labels, trials", SWAP_ROWS, ids=[f for f, _, _ in SWAP_ROWS])
+def test_verify_matches_the_every_generator_check_on_random_swaps(family, labels, trials):
+    """Swaps keep the actions bijective but may open relations, the power
+    loops g g among them, and so change which generators follow and which
+    checks verify halves."""
+    quandle, pres = family_quandle(family, labels)
+    rng = np.random.default_rng(20)
+    a3 = 0
+    for trial in range(trials):
+        report = assert_verify_matches_reference(_random_swaps(quandle, rng), pres)
+        a3 += any(m.startswith(A3_LINE) for m in report)
+    assert a3 >= trials / 2  # most swaps break A3
+
+
+def _recording_preserves_table(monkeypatch):
+    """Record each A3 check verify makes as (u, xs)."""
+    calls = []
+    check = engine._preserves_table
+
+    def recording(rows, row_of, u, xs):
+        calls.append((u, xs))
+        return check(rows, row_of, u, xs)
+
+    monkeypatch.setattr(engine, "_preserves_table", recording)
+    return calls
+
+
+def test_whole_table_a3_runs_under_the_check_set(monkeypatch):
+    """On DH(2,2,2,3,2,4) A3 runs under 3 of the 8 generators, and under an
+    involution only at its fixed points and one element of each 2-cycle."""
+    quandle, pres = family_quandle("DH", (2, 2, 2, 3, 2, 4))
+    n = quandle.actions.shape[1]
+    identity = np.arange(n)
+    calls = _recording_preserves_table(monkeypatch)
+    assert engine.table_check(n) == "full"
+    assert verify(quandle, pres) == []
+    assert [u.tolist() for u, _ in calls] == [quandle.actions[g].tolist() for g in (0, 2, 4)]
+    for u, xs in calls:
+        if np.array_equal(u[u], identity):
+            fixed = np.flatnonzero(u == identity)
+            assert len(xs) == (n + len(fixed)) // 2 < n
+            assert np.array_equal(np.union1d(xs, u[xs]), identity)
+            assert np.array_equal(np.intersect1d(xs, u[xs]), fixed)
+        else:
+            assert np.array_equal(xs, identity)
+    assert sum(np.array_equal(u[u], identity) for u, _ in calls) >= 2
+
+
+def test_sampled_a3_runs_under_every_generator(monkeypatch):
+    monkeypatch.setattr(engine, "_TABLE_BUDGET", 0)
+    quandle, pres = family_quandle("DH", (2, 2, 2, 3, 2, 4))
+    calls = _recording_preserves_table(monkeypatch)
+    assert verify(quandle, pres) == []
+    assert [u.tolist() for u, _ in calls] == quandle.actions.tolist()
+    sample = calls[0][1]
+    assert len(sample) == 64
+    assert all(np.array_equal(xs, sample) for _, xs in calls)
+
+
+def test_a3_under_an_open_power_loop_runs_at_every_element():
+    """A swap that opens b b leaves A_b a 3-cycle, no involution, and A3
+    under it fails only at elements z with A_b z < z, so only the check at
+    every element reports it.  ``rel * : a`` makes a follow from nothing."""
+    pres = parse_presentation("gens: a b\nedges: a:1 b:2\nlabels: 2 2\nrel * : a\n")
+    quandle = enumerate_ok(pres).graph
+    assert quandle.actions.tolist() == [[0, 1, 2], [2, 1, 0]]
+    actions, inverses = quandle.actions.copy(), quandle.inverses.copy()
+    actions[1] = [2, 0, 1]
+    inverses[1] = [1, 2, 0]
+    report = assert_verify_matches_reference(quandle._replace(actions=actions, inverses=inverses), pres)
+    assert report == [
+        "axiom A1 fails: no loop at the vertex of b",
+        "universal relation x^[b b] = x open at element 0",
+        A3_LINE + "b",
+    ]
+
+
+def test_generating_set_of_each_table1_family():
+    """Greedy picks: the generators named, out of all the family has."""
+    want = {"theta3": ["a", "b"], "KT": ["x1", "x3"], "H1": ["x1", "x3"], "H2": ["x1", "x4"],
+            "DH": ["x1", "x3", "x5"], "K4planar": ["a", "b", "c"]}
+    for row in table1_rows():
+        pres = expand_relations(family_presentation(FamilyParams(row["family"], labels=tuple(row["labels"]))))
+        gens = pres.generators
+        chosen = engine._generating_set(len(gens), [rel.word for rel in pres.universals])
+        assert [gens[g].name for g in chosen] == want[row["family"]], row
+
+
 def test_symmetry_rows_of_a_sample_match_the_whole_table():
     """Rows built for a few targets along the Schreier tree equal the same
     rows of the whole table."""
@@ -965,6 +1107,17 @@ def test_gap_scan_matches_forward_only_walk_on_random_presentations(brute_force,
     # primary joining generators of unequal labels whatever the engine does
     if done and all(pres.label_of(r.lhs_base) == pres.label_of(r.rhs) for r in pres.primaries):
         assert verify(graph.finalize(), pres) == []
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(small_presentations(max_primaries=2), st.integers(0, 2**32 - 1))
+def test_verify_matches_the_every_generator_check_on_random_presentations(pres, seed):
+    """On each completed example and on a randomly swapped copy of it."""
+    res = enumerate_quandle(pres, EnumerationLimits(3000, 10**6))
+    if res.completed:
+        assert_verify_matches_reference(res.graph, pres)
+        if res.graph.actions.shape[1] >= 2:
+            assert_verify_matches_reference(_random_swaps(res.graph, np.random.default_rng(seed)), pres)
 
 
 @pytest.mark.parametrize(
