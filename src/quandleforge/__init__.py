@@ -11,8 +11,6 @@ from .words import (
     GroupWord,
     Letter,
     ParseError,
-    QuandleExpr,
-    act,
     invert,
     parse_word,
 )
@@ -21,6 +19,7 @@ from .presentation import (
     PrimaryRelation,
     UniversalRelation,
     expand_relations,
+    loop_words,
     parse_presentation,
     render_presentation,
 )

@@ -298,7 +298,9 @@ def run(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MemoryError as exc:
-        print(f"error: out of memory: {exc}", file=sys.stderr)
+        # a failed allocation inside Python itself carries no text
+        print(f"error: out of memory: {exc}" if str(exc) else f"error: out of memory during {args.command}",
+              file=sys.stderr)
         return 1
 
 

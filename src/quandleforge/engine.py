@@ -21,10 +21,10 @@ The construction follows Winker's method:
    vertex's edges move onto its representative as it dies, so the rows
    of live vertices never name a dead one,
 5. sweep the vertices once in creation order, tracing every universal
-   relation of ``expand_relations(pres)`` (the presentation's own, the
+   relation of ``loop_words(pres)`` (the presentation's own, the
    conjugate of each primary and the power relation g^n of each
-   generator) by the same scan as a closed loop at each live vertex
-   (collapsing after each trace).  The power word g g of an involutory
+   generator at its current label) by the same scan as a closed loop at
+   each live vertex (collapsing after each trace).  The power word g g of an involutory
    g is traced unreduced, since it is what defines g's table at each
    vertex; any other universal that reduces to nothing traces as the
    empty loop.
@@ -58,7 +58,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .presentation import Presentation, expand_relations
+from .presentation import Presentation, loop_words
 from .words import GroupWord
 
 
@@ -422,7 +422,7 @@ class CayleyGraph:
         compacted if at least ``_CHUNK`` rows are dead and dead rows
         outnumber live ones."""
         pres, stats = self.pres, self.stats
-        universals = [self.letters(rel.word, loop=True) for rel in expand_relations(pres).universals]
+        universals = [self.letters(word, loop=True) for word in loop_words(pres)]
         try:
             for rel in pres.primaries:
                 start = self.find(self.basepoint[rel.lhs_base.id])
@@ -479,10 +479,11 @@ class CayleyGraph:
 def enumerate_quandle(pres: Presentation, limits: EnumerationLimits | None = None) -> EnumerationResult:
     """Run Winker's method on a presentation as given.
 
-    The sweep traces the universal relations of ``expand_relations(pres)``,
-    so the caller need not expand the presentation.  Returns the
-    finished :class:`Quandle`, or a limit-exceeded report with partial
-    statistics; hitting a limit is a report, not an error.
+    The sweep traces the loops of ``loop_words(pres)``, derived from the
+    labels ``pres`` carries, so the caller need not expand the
+    presentation.  Returns the finished :class:`Quandle`, or a
+    limit-exceeded report with partial statistics; hitting a limit is a
+    report, not an error.
     """
     graph = CayleyGraph(pres, limits or EnumerationLimits())
     if not graph.run():
@@ -744,9 +745,9 @@ def verify(quandle: Quandle, pres: Presentation) -> list[str]:
     mutually inverse maps (so bijections), A1 at the basepoints, every
     primary relation path, every universal relation loop at every
     element, and one label per component.  The loops are those of
-    ``expand_relations(pres)``, so they include the power relation
-    x^(g^n) = x of every generator g, n the label of g: the order of its
-    point symmetry divides n.  These are the closure conditions of
+    ``loop_words(pres)``, so they include the power relation
+    x^(g^n) = x of every generator g, n the label of g in ``pres``: the
+    order of its point symmetry divides n.  These are the closure conditions of
     Winker's method.
 
     The operation table then cross-checks them; :func:`table_check` names
@@ -838,12 +839,12 @@ def verify(quandle: Quandle, pres: Presentation) -> list[str]:
             violations.append(f"primary relation {rel} does not hold")
 
     closed: list[GroupWord] = []
-    for rel in expand_relations(pres).universals:
-        open_at = np.flatnonzero(quandle.follow(rel.word, identity) != identity)
+    for word in loop_words(pres):
+        open_at = np.flatnonzero(quandle.follow(word, identity) != identity)
         if open_at.size:
-            violations.append(f"universal relation {rel} open at element {open_at[0]}")
+            violations.append(f"universal relation x^[{word}] = x open at element {open_at[0]}")
         else:
-            closed.append(rel.word)
+            closed.append(word)
 
     root = _orbits(quandle)
     orbit_label: dict[int, int] = {}

@@ -6,9 +6,11 @@ half-twists between two strands, closed off by a strut on each side, the
 left strut labeled m and the right one labeled n (negative k means
 left-handed twists); G(k,m) is the one-strut reduction.  The exceptional
 graphs (theta graph, knotted theta, the handcuff variants, planar and
-knotted K4) ship as one checksummed diagram file each under ``data/``,
-save theta3 and K4planar, hand-reduced presentations with one generator
-per edge; all are validated by reproducing the known quandle sizes.
+knotted K4) ship as checksummed files under ``data/``, which
+:func:`family_presentation` reads: KT, H1, H2, DH and K4knot a diagram,
+theta3 and K4planar a hand-reduced presentation with one generator per
+edge, and a diagram too.  All are validated by reproducing the known
+quandle sizes.  The ``unknot`` and ``hopf`` diagrams are test inputs.
 
 For G(k,m,n) this module also builds explicit models of the components
 containing the a and d generators, straight from the index formulas: the
@@ -195,25 +197,25 @@ def build_explicit_Qa(k: int, m: int, n: int) -> ExplicitComponent:
                 p, q, r = k - 1, q - 1, r - 1
         return (p, q % m, r % n)
 
-    def act_a(p, q, r):
+    def by_a(p, q, r):
         return norm(p - 1 if p % 2 == 0 else p + 1, -q, -r)
 
-    def act_b(p, q, r):
+    def by_b(p, q, r):
         return norm(p + 1 if p % 2 == 0 else p - 1, -q, -r)
 
-    def act_c(p, q, r):
+    def by_c(p, q, r):
         return norm(p, q + 1, r)
 
-    def act_d(p, q, r):
+    def by_d(p, q, r):
         return norm(p, q, r + 1)
 
-    def act_e(p, q, r):
-        return act_d(*act_a(p, q, r))
+    def by_e(p, q, r):
+        return by_d(*by_a(p, q, r))
 
-    def act_f(p, q, r):
-        return act_d(*act_b(p, q, r))
+    def by_f(p, q, r):
+        return by_d(*by_b(p, q, r))
 
-    raw = {"a": act_a, "b": act_b, "c": act_c, "d": act_d, "e": act_e, "f": act_f}
+    raw = {"a": by_a, "b": by_b, "c": by_c, "d": by_d, "e": by_e, "f": by_f}
     actions = {
         name: np.array([index[fn(*x)] for x in elements], dtype=np.int64)
         for name, fn in raw.items()
@@ -241,19 +243,19 @@ def build_explicit_Qd(k: int, m: int) -> ExplicitComponent:
             p, q = 2 * k - 1, q - 1
         return (p, q % m)
 
-    def act_a(p, q):
+    def by_a(p, q):
         return norm(p + 1 if p % 2 == 0 else p - 1, -q)
 
-    def act_b(p, q):
+    def by_b(p, q):
         return norm(p - 1 if p % 2 == 0 else p + 1, -q)
 
-    def act_c(p, q):
+    def by_c(p, q):
         return norm(p, q + 1)
 
-    def act_d(p, q):
+    def by_d(p, q):
         return (p, q)
 
-    raw = {"a": act_a, "b": act_b, "c": act_c, "d": act_d, "e": act_a, "f": act_b}
+    raw = {"a": by_a, "b": by_b, "c": by_c, "d": by_d, "e": by_a, "f": by_b}
     actions = {
         name: np.array([index[fn(*x)] for x in elements], dtype=np.int64)
         for name, fn in raw.items()

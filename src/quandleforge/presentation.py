@@ -9,9 +9,11 @@ relations:
 * universal relations x^w = x      (vertex relations, power relations,
   and the conjugates of primaries), imposed on every element.
 
-:func:`expand_relations` is where the secondary and power relations are
-defined; the enumeration engine and the verifier read their loops from
-it.
+:func:`loop_words` is where the secondary and power relations are
+defined: it lists the loop words that the enumeration engine closes and
+the verifier checks at every element, derived from the labels a
+presentation carries now.  :func:`expand_relations` adds the label-free
+part of them, the secondaries, to a presentation's universals.
 
 Text format (line oriented, ``#`` starts a comment)::
 
@@ -130,10 +132,7 @@ class Presentation:
         return self.labels[self.edge_of[gen] - 1]
 
     def with_labels(self, labels) -> "Presentation":
-        """The same presentation under a different edge labeling.
-
-        Relabel before expanding: stored power relations keep the old labels.
-        """
+        """The same presentation under a different edge labeling."""
         return Presentation(self.generators, self.edge_of, labels, self.primaries, self.universals)
 
     def __repr__(self) -> str:
@@ -143,25 +142,37 @@ class Presentation:
         )
 
 
-def expand_relations(pres: Presentation) -> Presentation:
-    """Close the universal-relation list for enumeration.
-
-    The universals given come first, in their order.  Then comes the
-    secondary relation of each primary x_j^w = x_k, in primary order: the
-    universal relation y^(w' x_j w x_k') = y.  Last comes the power
-    relation x^(g^n) = x of each generator g, in generator order, n the
-    label of g's edge; a label of 1 simply forces x^g = x.  A relation
-    whose word reduces to nothing (a vacuous one, e.g. from a^[a] = a) is
-    dropped, and a word already listed is not listed again.  Primaries
-    are retained so the engine can trace them.  Idempotent.
-    """
+def _label_free_loops(pres: Presentation) -> tuple[GroupWord, ...]:
+    """The given universal words, then the secondary w' x_j w x_k' of each
+    primary x_j^w = x_k, less vacuous and repeated words."""
     words = [rel.word for rel in pres.universals]
     words += [
         GroupWord([*invert(rel.word), Letter(rel.lhs_base, 1), *rel.word, Letter(rel.rhs, -1)])
         for rel in pres.primaries
     ]
-    words += [GroupWord([Letter(gen, 1)] * pres.label_of(gen)) for gen in pres.generators]
-    universals = [UniversalRelation(word) for word in dict.fromkeys(words) if word]
+    return tuple(word for word in dict.fromkeys(words) if word)
+
+
+def loop_words(pres: Presentation) -> tuple[GroupWord, ...]:
+    """The words of the loops closed at every element of the N-quandle:
+    the universals of :func:`expand_relations`, then the power word g^n of
+    each generator g, n the label g's edge carries now (a label of 1
+    forces x^g = x), less repeated words."""
+    powers = [GroupWord([Letter(gen, 1)] * pres.label_of(gen)) for gen in pres.generators]
+    return tuple(dict.fromkeys([*_label_free_loops(pres), *powers]))
+
+
+def expand_relations(pres: Presentation) -> Presentation:
+    """The presentation with its label-free loops as its universals.
+
+    The universals given come first, in their order, then the secondary
+    relation y^(w' x_j w x_k') = y of each primary x_j^w = x_k, in primary
+    order; a word that reduces to nothing (a vacuous one, e.g. from
+    a^[a] = a) is dropped, and a word already listed is not listed again.
+    No power relation is stored, so relabeling before or after expanding
+    gives the same quandle.  Primaries are retained.  Idempotent.
+    """
+    universals = [UniversalRelation(word) for word in _label_free_loops(pres)]
     return Presentation(pres.generators, pres.edge_of, pres.labels, pres.primaries, universals)
 
 

@@ -1,10 +1,11 @@
 """Free-group words over quandle generators.
 
-Quandle elements are written in exponential notation: an expression a^w
-means the generator a acted on, letter by letter, by the word w.  A word
-is a sequence of generators and formal inverses; the inverse of x is
-written x' in text form.  Words are kept freely reduced at all times, so
-equality of words (and of expressions) is plain structural equality.
+Quandle elements are written in exponential notation: a^w means the
+generator a acted on, letter by letter, by the word w.  A word is a
+sequence of generators and formal inverses; the inverse of x is written
+x' in text form.  Words are kept freely reduced at all times, so equality
+of words is plain structural equality, which is how
+:func:`quandleforge.presentation.loop_words` drops a repeated loop word.
 
 The text syntax accepted by :func:`parse_word` is shared by every parser
 in the package: generators are identifiers, a trailing apostrophe inverts,
@@ -153,9 +154,6 @@ class GroupWord:
     def __hash__(self) -> int:
         return hash(self.letters)
 
-    def __mul__(self, other: "GroupWord") -> "GroupWord":
-        return GroupWord(self.letters + other.letters)
-
     def __str__(self) -> str:
         return " ".join(str(letter) for letter in self.letters) if self.letters else "1"
 
@@ -166,30 +164,6 @@ class GroupWord:
 def invert(word: GroupWord) -> GroupWord:
     """Reverse the word and flip every sign; an involution."""
     return GroupWord(letter.inverse() for letter in reversed(word.letters))
-
-
-@dataclass(frozen=True)
-class QuandleExpr:
-    """An element written as base^exponent with the exponent reduced."""
-
-    base: GeneratorSymbol
-    exponent: GroupWord
-
-    def __str__(self) -> str:
-        return f"{self.base.name}^[{self.exponent}]"
-
-
-def act(x: QuandleExpr, y: QuandleExpr, sign: int = 1) -> QuandleExpr:
-    """Act on a^u by b^v, re-associating to normal form.
-
-    With y = b^v, acting positively sends a^u to a^(u v' b v) and acting
-    negatively (the inverse operation) sends it to a^(u v' b' v).
-    """
-    if sign not in (1, -1):
-        raise ValueError(f"sign must be +1 or -1, got {sign}")
-    u, v = x.exponent, y.exponent
-    middle = GroupWord([Letter(y.base, sign)])
-    return QuandleExpr(x.base, u * invert(v) * middle * v)
 
 
 def _match_generator(text: str, pos: int, symbols: dict[str, GeneratorSymbol]):

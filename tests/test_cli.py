@@ -268,11 +268,23 @@ def test_docstring_lists_the_registered_subcommands():
     assert listed == registered == ["enumerate", "verify", "regress", "oracle-check"]
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_python_example_prints_its_comments(capsys):
+    """The README's ``python`` block runs, and each ``print`` line prints
+    the value its ``# …`` comment shows."""
+    block = re.search(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S).group(1)
+    shown = [line.split("# ", 1)[1] for line in block.splitlines() if line.startswith("print(")]
+    assert len(shown) == 3
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out.splitlines() == shown
+
+
 def test_readme_command_lines_parse():
     """Every ``quandleforge`` line of the README's command-line block names
     only subcommands and options the parser has."""
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    block = re.search(r"## Command line\n\n```\n(.*?)```", readme, re.S).group(1)
+    block = re.search(r"## Command line\n\n```\n(.*?)```", README.read_text(encoding="utf-8"), re.S).group(1)
     lines = [shlex.split(line, comments=True) for line in block.splitlines()]
     assert lines and all(argv[0] == "quandleforge" for argv in lines)
     for argv in lines:
@@ -280,13 +292,19 @@ def test_readme_command_lines_parse():
 
 
 def test_out_of_memory_exits_one(capsys, monkeypatch):
-    def exhausted(graph, pres):
-        raise MemoryError("Unable to allocate 2.16 GiB")
+    """numpy names the allocation that failed; Python's own allocator
+    raises a bare MemoryError, so the message names the subcommand."""
+    for error, message in (
+        (MemoryError("Unable to allocate 2.16 GiB"), "error: out of memory: Unable to allocate 2.16 GiB\n"),
+        (MemoryError(), "error: out of memory during enumerate\n"),
+    ):
+        def exhausted(graph, pres):
+            raise error
 
-    monkeypatch.setattr("quandleforge.cli.verify", exhausted)
-    code, _, err = invoke(capsys, "enumerate", "--family", "theta3", "--labels", "3,3,2")
-    assert code == 1
-    assert err == "error: out of memory: Unable to allocate 2.16 GiB\n"
+        monkeypatch.setattr("quandleforge.cli.verify", exhausted)
+        code, _, err = invoke(capsys, "enumerate", "--family", "theta3", "--labels", "3,3,2")
+        assert code == 1
+        assert err == message
 
 
 def test_enumerate_emits_then_exits_one_on_a_violation(capsys, monkeypatch):

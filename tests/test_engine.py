@@ -6,7 +6,7 @@ from array import array
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 
 from quandleforge import (
     EnumerationLimits,
@@ -19,6 +19,7 @@ from quandleforge import (
     enumerate_quandle,
     expand_relations,
     family_presentation,
+    loop_words,
     parse_diagram,
     parse_presentation,
     parse_word,
@@ -866,7 +867,7 @@ def test_generating_set_of_each_table1_family():
     for row in table1_rows():
         pres = expand_relations(family_presentation(FamilyParams(row["family"], labels=tuple(row["labels"]))))
         gens = pres.generators
-        chosen = engine._generating_set(len(gens), [rel.word for rel in pres.universals])
+        chosen = engine._generating_set(len(gens), list(loop_words(pres)))
         assert [gens[g].name for g in chosen] == want[row["family"]], row
 
 
@@ -962,14 +963,15 @@ def raw_presentations():
 
 
 def test_raw_and_expanded_presentations_enumerate_alike():
-    """The engine expands its input itself, and expanding is idempotent
-    and keeps the order of the universals, so a presentation and its
-    expansion give the same numbering, counters and export."""
+    """The engine derives its loops itself, and a presentation and its
+    expansion have the same loop words in the same order, so they give
+    the same numbering, counters and export."""
     cases = list(raw_presentations())
     assert len(cases) == 26
     for raw in cases:
         expanded = expand_relations(raw)
-        assert len(expanded.universals) > len(raw.universals)
+        assert len(loop_words(raw)) > len(raw.universals)
+        assert loop_words(expanded) == loop_words(raw)
         got, want = enumerate_ok(raw, 10**6), enumerate_ok(expanded, 10**6)
         for field in ("actions", "inverses", "basepoint"):
             assert np.array_equal(getattr(got.graph, field), getattr(want.graph, field)), raw
@@ -1074,6 +1076,14 @@ def test_gap_scan_matches_forward_only_walk(params):
     assert_same_quandle_with_less_work(oracle, graph)
 
 
+# The settings of every property test here: derandomized, so that a failure
+# reproduces from the test alone, with no example database and no deadline.
+# Shrinking is off, since on a faulty engine it can take minutes (Hypothesis
+# caps it only at 300 s): a failure reports the first example found.
+PROPERTY = settings(derandomize=True, database=None, deadline=None,
+                    phases=[phase for phase in Phase if phase is not Phase.shrink])
+
+
 @st.composite
 def small_presentations(draw, max_primaries=1):
     """2-3 generators on edges of their own, labels 2-3, one or two
@@ -1094,7 +1104,7 @@ def small_presentations(draw, max_primaries=1):
     return expand_relations(pres)
 
 
-@settings(derandomize=True, database=None, max_examples=120, deadline=None)
+@settings(PROPERTY, max_examples=120)
 @given(small_presentations())
 def test_gap_scan_matches_forward_only_walk_on_random_presentations(brute_force, pres):
     oracle, oracle_done, graph, done = _run_both(pres, EnumerationLimits(3000, 10**6))
@@ -1109,7 +1119,7 @@ def test_gap_scan_matches_forward_only_walk_on_random_presentations(brute_force,
         assert verify(graph.finalize(), pres) == []
 
 
-@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@settings(PROPERTY, max_examples=150)
 @given(small_presentations(max_primaries=2), st.integers(0, 2**32 - 1))
 def test_verify_matches_the_every_generator_check_on_random_presentations(pres, seed):
     """On each completed example and on a randomly swapped copy of it."""
@@ -1150,7 +1160,7 @@ def test_shared_tables_match_two_tables_on_random_presentations():
     numbering nor the count is compared here."""
     completed = []
 
-    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @settings(PROPERTY, max_examples=150)
     @given(small_presentations(max_primaries=2))
     def check(pres):
         limits = EnumerationLimits(3000, 10**6)
@@ -1172,12 +1182,12 @@ def test_universal_rewrites_keep_sizes_on_random_presentations():
     leave the size and the component sizes unchanged."""
     completed = []
 
-    @settings(derandomize=True, database=None, max_examples=100, deadline=None)
+    @settings(PROPERTY, max_examples=100)
     @given(small_presentations())
     def check(pres):
-        first, second, *rest = pres.universals
-        rotated = GroupWord(first.word.letters[1:] + first.word.letters[:1])
-        universals = [UniversalRelation(rotated), UniversalRelation(invert(second.word)), *rest][::-1]
+        first, second, *rest = loop_words(pres)
+        rotated = GroupWord(first.letters[1:] + first.letters[:1])
+        universals = [UniversalRelation(word) for word in (rotated, invert(second), *rest)][::-1]
         rewritten = Presentation(pres.generators, pres.edge_of, pres.labels, pres.primaries, universals)
         limits = EnumerationLimits(3000, 10**6)
         a, b = enumerate_quandle(pres, limits), enumerate_quandle(rewritten, limits)
@@ -1190,7 +1200,7 @@ def test_universal_rewrites_keep_sizes_on_random_presentations():
     assert sum(completed) >= len(completed) / 2
 
 
-@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@settings(PROPERTY, max_examples=100)
 @given(small_presentations())
 def test_live_rows_name_only_live_vertices_on_random_presentations(pres):
     InvariantCheckingGraph(pres, EnumerationLimits(3000, 10**6)).run()
@@ -1202,7 +1212,7 @@ def test_primary_order_keeps_sizes_on_random_presentations():
     sorted component sizes unchanged."""
     completed = []
 
-    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @settings(PROPERTY, max_examples=60)
     @given(small_presentations(max_primaries=2))
     def check(pres):
         derived = set(expand_relations(
@@ -1245,7 +1255,7 @@ def test_generator_renaming_keeps_the_quandle_on_random_presentations():
     generator's component once its actions are read in the old order."""
     completed = []
 
-    @settings(derandomize=True, database=None, max_examples=100, deadline=None)
+    @settings(PROPERTY, max_examples=100)
     @given(small_presentations(), st.randoms(use_true_random=False))
     def check(pres, rng):
         order = list(range(len(pres.generators)))
@@ -1299,7 +1309,7 @@ def test_derived_generator_keeps_the_quandle_on_random_presentations():
     rather than on the quandle presented shows as a changed size or code."""
     completed = []
 
-    @settings(derandomize=True, database=None, max_examples=100, deadline=None)
+    @settings(PROPERTY, max_examples=100)
     @given(small_presentations(max_primaries=2), st.data())
     def check(pres, data):
         letter = st.builds(Letter, st.sampled_from(pres.generators), st.sampled_from((1, -1)))
@@ -1330,7 +1340,7 @@ def test_derived_generator_keeps_the_quandle_on_the_battery():
             assert_same_quandle_on_the_old_generators(before, after)
 
 
-@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@settings(PROPERTY, max_examples=100)
 @given(small_presentations())
 def test_two_runs_agree_on_random_presentations(pres):
     limits = EnumerationLimits(3000, 10**6)

@@ -17,6 +17,7 @@ from quandleforge import (
     family_presentation,
     gkm_size,
     gkmn_size,
+    loop_words,
     parse_diagram,
     wirtinger,
 )
@@ -34,7 +35,7 @@ def test_gkmn_presentation_shape():
     assert [g.name for g in pres.generators] == list("abcdef")
     assert pres.labels == (2, 2, 3, 3, 2, 2)
     assert len(pres.universals) == 4
-    assert len(expand_relations(pres).universals) == 10
+    assert len(loop_words(pres)) == 10
 
 
 def test_gkmn_size_examples():

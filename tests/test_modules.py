@@ -39,26 +39,26 @@ def test_no_module_imports_a_private_name_of_another():
         assert private_imports(path.read_text(encoding="utf-8")) == [], path.name
 
 
-def expand_calls(source: str) -> int:
-    """How many calls to ``expand_relations`` a module's source makes."""
+def calls_to(name: str, source: str) -> int:
+    """How many calls to ``name`` a module's source makes."""
     return sum(
         isinstance(node, ast.Call)
-        and (getattr(node.func, "id", None) or getattr(node.func, "attr", None)) == "expand_relations"
+        and (getattr(node.func, "id", None) or getattr(node.func, "attr", None)) == name
         for node in ast.walk(ast.parse(source))
     )
 
 
 def test_expand_calls_are_counted():
-    assert expand_calls("x = expand_relations(p)\ny = presentation.expand_relations(q)\n") == 2
-    assert expand_calls("from .presentation import expand_relations\nf = expand_relations\n") == 0
+    assert calls_to("expand_relations", "x = expand_relations(p)\ny = presentation.expand_relations(q)\n") == 2
+    assert calls_to("expand_relations", "from .presentation import expand_relations\nf = expand_relations\n") == 0
 
 
 def test_only_the_engine_expands_relations():
-    """The engine derives the loops a presentation implies, so no other
-    module expands one before handing it over."""
-    calls = {path.name: expand_calls(path.read_text(encoding="utf-8")) for path in sorted(PACKAGE.glob("*.py"))}
-    assert calls["engine.py"] > 0
-    assert {name for name, count in calls.items() if count} == {"engine.py"}
+    """The engine derives the loops a presentation implies, so no module
+    expands one before handing it over."""
+    sources = {path.name: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))}
+    assert {name for name, source in sources.items() if calls_to("loop_words", source)} == {"engine.py"}
+    assert {name for name, source in sources.items() if calls_to("expand_relations", source)} == set()
 
 
 def unused_imports(source: str) -> list[str]:

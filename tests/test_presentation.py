@@ -1,5 +1,6 @@
 """Presentation parsing, secondary/power relation derivation, expansion."""
 
+import numpy as np
 import pytest
 
 from quandleforge import (
@@ -15,11 +16,12 @@ from quandleforge import (
     enumerate_quandle,
     expand_relations,
     family_presentation,
+    loop_words,
     parse_presentation,
     parse_word,
     render_presentation,
 )
-from quandleforge.families import _DATA_FILES, _read_data_text
+from quandleforge.families import _DATA_FILES, _read_data_text, table1_rows
 from quandleforge.words import FieldError
 
 
@@ -135,9 +137,8 @@ def test_secondary_of_examples():
     syms["c"] = c
 
     def secondaries(rel):
-        # the expansion of one primary, less the power relations at its end
         pres = Presentation([a, b, c], {a: 1, b: 2, c: 3}, (2, 2, 2), [rel])
-        return [str(r.word) for r in expand_relations(pres).universals[:-3]]
+        return [str(r.word) for r in expand_relations(pres).universals]
 
     assert secondaries(PrimaryRelation(a, parse_word("b", syms), c)) == ["b' a b c'"]
     assert secondaries(PrimaryRelation(a, GroupWord(), b)) == ["a b'"]
@@ -147,35 +148,52 @@ def test_secondary_of_examples():
 
 def test_power_relations_theta():
     pres = parse_presentation("gens: a b c\nedges: a:1 b:2 c:3\nlabels: 3 3 2\n")
-    words = [str(rel.word) for rel in expand_relations(pres).universals]
+    words = [str(word) for word in loop_words(pres)]
     assert words == ["a a a", "b b b", "c c"]
 
 
 def test_power_relations_label_one():
     pres = parse_presentation("gens: a\nedges: a:1\nlabels: 1\n")
-    assert [str(rel.word) for rel in expand_relations(pres).universals] == ["a"]
+    assert [str(word) for word in loop_words(pres)] == ["a"]
 
 
 def test_power_relations_gkmn():
     pres = parse_presentation(
         "gens: a b c d e f\nedges: a:1 b:2 c:3 d:4 e:5 f:6\nlabels: 2 2 3 4 2 2\n"
     )
-    words = [str(rel.word) for rel in expand_relations(pres).universals]
+    words = [str(word) for word in loop_words(pres)]
     assert words == ["a a", "b b", "c c c", "d d d d", "e e", "f f"]
 
 
 def test_expand_relations_counts():
     # one primary, no universals, two generators labeled (2,2):
-    # expansion adds the primary's conjugate and two power relations
+    # the loops are the primary's conjugate and two power relations
     pres = parse_presentation(
         "gens: a b\nedges: a:1 b:2\nlabels: 2 2\nrel a : b = b\n"
     )
-    out = expand_relations(pres)
-    assert len(out.primaries) == 1
-    assert len(out.universals) == 3
+    assert len(loop_words(pres)) == 3
+    assert len(expand_relations(pres).primaries) == 1
 
     free = parse_presentation("gens: a\nedges: a:1\nlabels: 4\n")
-    assert len(expand_relations(free).universals) == 1
+    assert len(loop_words(free)) == 1
+
+
+def test_relabeling_before_or_after_expanding_gives_the_table1_quandle():
+    """The power loops come from the labels a presentation carries when it
+    is enumerated, so a graph expanded at its file labels and relabeled to
+    a size-table row gives that row's quandle, numbered alike."""
+    rows = [row for row in table1_rows() if row["expected"] < 10_000]
+    assert len(rows) == 20
+    limits = EnumerationLimits(10**6, 10**9)
+    for row in rows:
+        labels = tuple(row["labels"])
+        base = family_presentation(FamilyParams(row["family"]))
+        want = enumerate_quandle(family_presentation(FamilyParams(row["family"], labels=labels)), limits).graph
+        for pres in (expand_relations(base).with_labels(labels), expand_relations(base.with_labels(labels))):
+            res = enumerate_quandle(pres, limits)
+            assert res.completed and res.stats.live == row["expected"], row
+            assert np.array_equal(res.graph.actions, want.actions), row
+            assert np.array_equal(res.graph.basepoint, want.basepoint), row
 
 
 def test_expand_relations_idempotent():

@@ -1,6 +1,7 @@
 """Word-core tests: free reduction, inversion, the re-association rule."""
 
 import random
+from dataclasses import dataclass
 
 import pytest
 
@@ -10,8 +11,6 @@ from quandleforge import (
     GroupWord,
     Letter,
     ParseError,
-    QuandleExpr,
-    act,
     enumerate_quandle,
     expand_relations,
     invert,
@@ -27,6 +26,28 @@ SYMS = {"a": A, "b": B, "c": C, "d": D}
 
 def w(text):
     return parse_word(text, SYMS)
+
+
+def concat(*words):
+    """The reduced product of words."""
+    return GroupWord(letter for word in words for letter in word)
+
+
+@dataclass(frozen=True)
+class QuandleExpr:
+    """An element written as base^exponent with the exponent reduced."""
+
+    base: GeneratorSymbol
+    exponent: GroupWord
+
+
+def act(x, y, sign=1):
+    """Act on a^u by b^v, re-associating to normal form: acting positively
+    sends a^u to a^(u v' b v), and negatively (the inverse operation) to
+    a^(u v' b' v).  An independent reference for the Cayley graph's
+    actions, which trace words letter by letter."""
+    u, v = x.exponent, y.exponent
+    return QuandleExpr(x.base, concat(u, invert(v), GroupWord([Letter(y.base, sign)]), v))
 
 
 def test_free_reduce_examples():
@@ -57,7 +78,7 @@ def test_invert_involution_and_antihomomorphism():
         u = GroupWord(Letter(rng.choice(gens), rng.choice((1, -1))) for _ in range(rng.randint(0, 20)))
         v = GroupWord(Letter(rng.choice(gens), rng.choice((1, -1))) for _ in range(rng.randint(0, 20)))
         assert invert(invert(u)) == u
-        assert invert(u * v) == invert(v) * invert(u)
+        assert invert(concat(u, v)) == concat(invert(v), invert(u))
 
 
 def test_act_examples():
@@ -113,9 +134,7 @@ def test_act_agrees_with_cayley_graph(labels):
             for sign in (1, -1):
                 nxt = int(quandle.follow([Letter(gen, sign)], v))
                 if nxt not in exprs:
-                    exprs[nxt] = QuandleExpr(
-                        exprs[v].base, exprs[v].exponent * GroupWord([Letter(gen, sign)])
-                    )
+                    exprs[nxt] = QuandleExpr(exprs[v].base, concat(exprs[v].exponent, GroupWord([Letter(gen, sign)])))
                     queue.append(nxt)
     assert len(exprs) == n
 
