@@ -17,7 +17,6 @@ from .words import (
 from .presentation import (
     Presentation,
     PrimaryRelation,
-    UniversalRelation,
     expand_relations,
     loop_words,
     parse_presentation,

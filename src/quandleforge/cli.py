@@ -95,12 +95,13 @@ def _limits(args) -> EnumerationLimits:
     return EnumerationLimits(max_vertices=args.max_vertices, max_steps=args.max_steps)
 
 
-def _emit(text: str, path: str | None):
+def _emit(chunks, path: str | None):
+    """Write an iterable of strings, such as ``[text]``, to a file or stdout."""
     if path:
         with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            handle.writelines(chunks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
 
 
 def format_stats(result) -> str:
@@ -151,28 +152,29 @@ def export_json(quandle: Quandle, pres: Presentation, stats) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def format_table(quandle: Quandle) -> str:
+def format_table(quandle: Quandle):
+    """The lines of the operation table, each made as it is written; the
+    table is built first, so a failure to build it writes nothing."""
     table = quandle_table(quandle)
     n = table.shape[0]
-    # one row at a time, so that no n^2 list of Python ints is ever held
-    row_format = " ".join([f"%{len(str(n - 1))}d"] * n)
-    return "".join(row_format % tuple(row.tolist()) + "\n" for row in table)
+    row_format = " ".join([f"%{len(str(n - 1))}d"] * n) + "\n"
+    return (row_format % tuple(row.tolist()) for row in table)
 
 
 def cmd_enumerate(args) -> int:
     pres = _load_presentation(args)
     result = enumerate_quandle(pres, _limits(args))
     if not result.completed:
-        _emit(format_stats(result), args.output)
+        _emit([format_stats(result)], args.output)
         return 2
     quandle = result.graph
     violations = verify(quandle, pres)
     if args.format == "stats":
-        _emit(format_stats(result), args.output)
+        _emit([format_stats(result)], args.output)
     elif args.format == "dot":
-        _emit(export_dot(quandle, no_loops=args.no_loops), args.output)
+        _emit([export_dot(quandle, no_loops=args.no_loops)], args.output)
     elif args.format == "json":
-        _emit(export_json(quandle, pres, result.stats), args.output)
+        _emit([export_json(quandle, pres, result.stats)], args.output)
     elif args.format == "table":
         _emit(format_table(quandle), args.output)
     if violations:

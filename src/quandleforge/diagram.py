@@ -9,16 +9,19 @@ vertex and ``-`` for one directed out.  Arc ends not consumed by a
 crossing or vertex close up onto the rest of their component (as in a
 crossingless unknot).
 
-Text format (line oriented, ``#`` comments, the reader and label list
-shared with presentations)::
+Text format (line oriented, ``#`` comments, the reader, edge map and
+label list shared with presentations)::
 
-    arcs: 3
-    edge: 1:1 2:2 3:3            # arc:edge, both 1-based
+    arcs: 4
+    edge: 1:1 2:2 3:3 4:1        # arc:edge, both 1-based
     labels: 3 3 2
-    xing + : over=2 in=1 out=3   # out = in acted by over (- for inverse)
-    vertex: 1+ 2- 3+
+    xing + : over=2 in=1 out=4   # out = in acted by over (- for inverse)
+    vertex: 4+ 2+ 3+
+    vertex: 1- 2- 3-
 
 ``arcs:`` and ``labels:`` appear once each; the other keys may repeat.
+Each arc is given one edge, and every edge 1..k of the labeling must
+carry at least one arc.
 
 :func:`wirtinger` emits one generator per arc (named x1, x2, ...), a
 primary relation per crossing, and a universal relation per vertex whose
@@ -35,15 +38,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .presentation import Presentation, PrimaryRelation, UniversalRelation, parse_presentation
+from .presentation import Presentation, PrimaryRelation, parse_presentation
 from .words import (
     FieldError,
     GeneratorSymbol,
     GroupWord,
     Letter,
     ParseError,
+    check_edge_map,
     check_labels,
     parse_labels,
+    read_edge_map,
     read_key_lines,
 )
 
@@ -89,19 +94,10 @@ class DiagramSpec:
         check_labels(self.labels)
         if self.arc_count < 0:
             raise FieldError("arc count must be >= 0", "arcs")
-        k = len(self.labels)
-        for arc in range(1, self.arc_count + 1):
-            edge = self.arc_edge.get(arc)
-            if edge is None:
-                raise FieldError(f"arc {arc} missing from the edge map", "edge")
-            if not 1 <= edge <= k:
-                raise FieldError(f"arc {arc} assigned to edge {edge}, but only {k} labels given", "edge")
+        pairs = ((arc, self.arc_edge.get(arc)) for arc in range(1, self.arc_count + 1))
+        check_edge_map("arc", "edge", pairs, len(self.labels))
         for arc in self.arc_edge:
             self._check_arc(arc, "edge map", "edge")
-        used_edges = set(self.arc_edge.values())
-        for edge in range(1, k + 1):
-            if edge not in used_edges:
-                raise FieldError(f"edge {edge} has no arcs", "labels")
         head_used = [0] * (self.arc_count + 1)
         tail_used = [0] * (self.arc_count + 1)
 
@@ -156,12 +152,7 @@ def parse_diagram(text: str) -> DiagramSpec:
             except ValueError:
                 raise ParseError(f"bad arc count {rest!r}", lineno, 1) from None
         elif key == "edge":
-            for item in rest.split():
-                arc_str, _, edge_str = item.partition(":")  # no ':' leaves edge_str empty
-                try:
-                    arc_edge[int(arc_str)] = int(edge_str)
-                except ValueError:
-                    raise ParseError(f"bad edge assignment {item!r}", lineno, 1) from None
+            read_edge_map(rest, int, arc_edge, lineno)
         elif key == "labels":
             labels = parse_labels(rest, lineno)
         elif key.startswith("xing"):
@@ -230,11 +221,8 @@ def wirtinger(spec: DiagramSpec) -> Presentation:
         PrimaryRelation(gen(x.under_in), GroupWord([Letter(gen(x.over), x.sign)]), gen(x.under_out))
         for x in spec.crossings
     ]
-    universals = []
-    for incidences in spec.vertices:
-        word = GroupWord(Letter(gen(arc), direction) for arc, direction in incidences)
-        if word:
-            universals.append(UniversalRelation(word))
+    words = [GroupWord(Letter(gen(arc), sign) for arc, sign in incidences) for incidences in spec.vertices]
+    universals = [word for word in words if word]  # a vertex 1+ 1- reduces to nothing
     edge_of = {gen(arc): spec.arc_edge[arc] for arc in range(1, spec.arc_count + 1)}
     return Presentation(gens, edge_of, spec.labels, primaries, universals)
 

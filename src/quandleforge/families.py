@@ -30,7 +30,7 @@ import numpy as np
 
 from .diagram import parse_input
 from .engine import canonical_code_of_actions
-from .presentation import Presentation, UniversalRelation
+from .presentation import Presentation
 from .words import GeneratorSymbol, parse_word
 
 _DATA_FILES = {
@@ -137,7 +137,7 @@ def _twist_presentation(params: FamilyParams) -> Presentation:
         raise ValueError(f"{family} labels are fixed to {shape} = {labels}")
     gens = [GeneratorSymbol(i, name) for i, name in enumerate(names)]
     symbols = {g.name: g for g in gens}
-    universals = [UniversalRelation(parse_word(text, symbols)) for text in words]
+    universals = [parse_word(text, symbols) for text in words]
     return Presentation(gens, {g: i + 1 for i, g in enumerate(gens)}, labels, universals=universals)
 
 

@@ -7,7 +7,8 @@ relations:
 
 * primary relations  x_j^w = x_k   (crossing relations), and
 * universal relations x^w = x      (vertex relations, power relations,
-  and the conjugates of primaries), imposed on every element.
+  and the conjugates of primaries), imposed on every element and stored
+  as their nonempty words w.
 
 :func:`loop_words` is where the secondary and power relations are
 defined: it lists the loop words that the enumeration engine closes and
@@ -17,16 +18,18 @@ part of them, the secondaries, to a presentation's universals.
 
 Text format (line oriented, ``#`` starts a comment)::
 
-    gens: a b c
-    edges: a:1 b:2 c:3          # 1-based edge indices
+    gens: a b c d
+    edges: a:1 b:2 c:3 d:1      # 1-based edge indices
     labels: 3 3 2
-    rel a : b b' = c            # primary, a^(b b') = c
-    rel * : a b c               # universal, x^(a b c) = x
+    rel a : b = d               # primary, a^b = d
+    rel * : d b c               # universal, x^(d b c) = x
+    rel * : a' b' c'            # a' is the inverse of a
 
 ``gens:`` and ``labels:`` appear once each; the other keys may repeat.
 Generator names are identifiers, so ``b'`` in a word is always b⁻¹.
-Every edge 1..k of the labeling must carry at least one generator.  The
-word syntax, the line reader and the label list are the shared ones from
+Each generator is given one edge, and every edge 1..k of the labeling
+must carry at least one generator.  The word syntax, the line reader,
+the edge map and the label list are the shared ones from
 :mod:`quandleforge.words`.
 """
 
@@ -40,11 +43,13 @@ from .words import (
     GroupWord,
     Letter,
     ParseError,
+    check_edge_map,
     check_labels,
     check_name,
     invert,
     parse_labels,
     parse_word,
+    read_edge_map,
     read_key_lines,
 )
 
@@ -59,20 +64,6 @@ class PrimaryRelation:
 
     def __str__(self) -> str:
         return f"{self.lhs_base.name}^[{self.word}] = {self.rhs.name}"
-
-
-@dataclass(frozen=True)
-class UniversalRelation:
-    """A relation x^word = x imposed on every element; word is nonempty."""
-
-    word: GroupWord
-
-    def __post_init__(self):
-        if not self.word:
-            raise ValueError("universal relation word must be nonempty")
-
-    def __str__(self) -> str:
-        return f"x^[{self.word}] = x"
 
 
 class Presentation:
@@ -90,7 +81,7 @@ class Presentation:
         self.edge_of = dict(edge_of)
         self.labels: tuple[int, ...] = tuple(labels)
         self.primaries: tuple[PrimaryRelation, ...] = tuple(primaries)
-        self.universals: tuple[UniversalRelation, ...] = tuple(universals)
+        self.universals: tuple[GroupWord, ...] = tuple(universals)
         self._validate()
 
     def _validate(self):
@@ -103,30 +94,21 @@ class Presentation:
             if gen.name in names:
                 raise FieldError(f"duplicate generator name {gen.name!r}", "gens")
             names.add(gen.name)
+        pairs = ((repr(gen.name), self.edge_of.get(gen)) for gen in self.generators)
+        check_edge_map("generator", "edges", pairs, len(self.labels))
         known = set(self.generators)
-        for gen in self.generators:
-            edge = self.edge_of.get(gen)
-            if edge is None:
-                raise FieldError(f"generator {gen.name!r} missing from 'edges:' map", "edges")
-            if not 1 <= edge <= len(self.labels):
-                raise FieldError(
-                    f"generator {gen.name!r} mapped to edge {edge}, but only {len(self.labels)} labels given",
-                    "edges",
-                )
-        used_edges = {self.edge_of[gen] for gen in self.generators}
-        for edge in range(1, len(self.labels) + 1):
-            if edge not in used_edges:
-                raise FieldError(f"edge {edge} has no generator", "labels")
         for rel in self.primaries:
             if rel.lhs_base not in known or rel.rhs not in known:
                 raise ValueError(f"primary relation {rel} uses unknown generator")
             for letter in rel.word:
                 if letter.gen not in known:
                     raise ValueError(f"primary relation {rel} uses unknown generator {letter.gen.name!r}")
-        for rel in self.universals:
-            for letter in rel.word:
+        for word in self.universals:
+            if not word:
+                raise ValueError("universal relation word must be nonempty")
+            for letter in word:
                 if letter.gen not in known:
-                    raise ValueError(f"universal relation {rel} uses unknown generator {letter.gen.name!r}")
+                    raise ValueError(f"universal relation x^[{word}] = x uses unknown generator {letter.gen.name!r}")
 
     def label_of(self, gen: GeneratorSymbol) -> int:
         return self.labels[self.edge_of[gen] - 1]
@@ -145,12 +127,11 @@ class Presentation:
 def _label_free_loops(pres: Presentation) -> tuple[GroupWord, ...]:
     """The given universal words, then the secondary w' x_j w x_k' of each
     primary x_j^w = x_k, less vacuous and repeated words."""
-    words = [rel.word for rel in pres.universals]
-    words += [
+    secondaries = (
         GroupWord([*invert(rel.word), Letter(rel.lhs_base, 1), *rel.word, Letter(rel.rhs, -1)])
         for rel in pres.primaries
-    ]
-    return tuple(word for word in dict.fromkeys(words) if word)
+    )
+    return tuple(word for word in dict.fromkeys([*pres.universals, *secondaries]) if word)
 
 
 def loop_words(pres: Presentation) -> tuple[GroupWord, ...]:
@@ -172,8 +153,7 @@ def expand_relations(pres: Presentation) -> Presentation:
     No power relation is stored, so relabeling before or after expanding
     gives the same quandle.  Primaries are retained.  Idempotent.
     """
-    universals = [UniversalRelation(word) for word in _label_free_loops(pres)]
-    return Presentation(pres.generators, pres.edge_of, pres.labels, pres.primaries, universals)
+    return Presentation(pres.generators, pres.edge_of, pres.labels, pres.primaries, _label_free_loops(pres))
 
 
 def parse_presentation(text: str) -> Presentation:
@@ -183,7 +163,7 @@ def parse_presentation(text: str) -> Presentation:
     edge_of: dict[GeneratorSymbol, int] = {}
     labels: tuple[int, ...] | None = None
     primaries: list[PrimaryRelation] = []
-    universals: list[UniversalRelation] = []
+    universals: list[GroupWord] = []
     line_of: dict[str, int] = {}  # the last line of each key
 
     for lineno, key, rest, col0 in read_key_lines(text):
@@ -192,23 +172,13 @@ def parse_presentation(text: str) -> Presentation:
         line_of[key] = lineno
         if key == "gens":
             for name in rest.split():
-                if name in symbols:
-                    raise ParseError(f"duplicate generator {name!r}", lineno, col0 + 1)
                 gen = GeneratorSymbol(len(gens), name)
                 gens.append(gen)
                 symbols[name] = gen
             if not gens:
                 raise ParseError("empty generator list", lineno, col0 + 1)
         elif key == "edges":
-            for item in rest.split():
-                name, sep2, idx = item.partition(":")
-                if not sep2 or name not in symbols:
-                    raise ParseError(f"bad edge assignment {item!r}", lineno, col0 + 1)
-                try:
-                    edge = int(idx)
-                except ValueError:
-                    raise ParseError(f"bad edge index in {item!r}", lineno, col0 + 1) from None
-                edge_of[symbols[name]] = edge
+            read_edge_map(rest, symbols.__getitem__, edge_of, lineno, col0 + 1)
         elif key == "labels":
             labels = parse_labels(rest, lineno, col0 + 1)
         elif key.startswith("rel"):
@@ -216,7 +186,7 @@ def parse_presentation(text: str) -> Presentation:
             if head == "*":
                 word = parse_word(rest, symbols, lineno, col0)
                 if word:
-                    universals.append(UniversalRelation(word))
+                    universals.append(word)
             else:
                 if head not in symbols:
                     raise ParseError(f"unknown generator {head!r} in relation", lineno, 4)
@@ -252,6 +222,6 @@ def render_presentation(pres: Presentation) -> str:
     for rel in pres.primaries:
         # an empty word renders as nothing, not as GroupWord's "1"
         lines.append(" ".join(["rel", rel.lhs_base.name, ":", *map(str, rel.word), "=", rel.rhs.name]))
-    for rel in pres.universals:
-        lines.append(f"rel * : {rel.word}")
+    for word in pres.universals:
+        lines.append(f"rel * : {word}")
     return "\n".join(lines) + "\n"

@@ -11,10 +11,11 @@ The text syntax accepted by :func:`parse_word` is shared by every parser
 in the package: generators are identifiers, a trailing apostrophe inverts,
 juxtaposition concatenates, and parenthesized groups may carry integer
 exponents, e.g. ``(ab)^3``, ``c^2``, ``(ab)^-1``.  Whitespace is ignored.
-The file formats also share their line reader (:func:`read_key_lines`)
-and their edge-label list (:func:`parse_labels`), whose rule
-(:func:`check_labels`) the validated types apply too, as they do the
-name rule (:func:`check_name`).
+The file formats also share their line reader (:func:`read_key_lines`),
+their owner-to-edge map (:func:`read_edge_map`) and their edge-label
+list (:func:`parse_labels`).  The validated types apply the rules of
+those maps and lists (:func:`check_edge_map`, :func:`check_labels`), as
+they do the name rule (:func:`check_name`).
 """
 
 from __future__ import annotations
@@ -73,6 +74,38 @@ def check_labels(labels: tuple[int, ...]) -> None:
     for n in labels:
         if n < 1:
             raise FieldError(f"edge label must be >= 1, got {n}", "labels")
+
+
+def check_edge_map(noun: str, key: str, pairs, count: int) -> None:
+    """Raise :class:`FieldError` unless every owner (a generator or an arc,
+    as ``noun`` says) lies on an edge 1..count and every edge has one.
+    ``pairs`` holds each owner's (name, edge or ``None``); an owner's fault
+    lies in the field ``key``, an edge without an owner in ``labels``."""
+    used = set()
+    for name, edge in pairs:
+        if edge is None:
+            raise FieldError(f"{noun} {name} missing from the edge map", key)
+        if not 1 <= edge <= count:
+            raise FieldError(f"{noun} {name} mapped to edge {edge}, but only {count} labels given", key)
+        used.add(edge)
+    for edge in range(1, count + 1):
+        if edge not in used:
+            raise FieldError(f"edge {edge} has no {noun}", "labels")
+
+
+def read_edge_map(text: str, owner, edges: dict, line: int = 1, col: int = 1) -> None:
+    """Add the ``owner:edge`` items of an edge-map line to ``edges``, one
+    edge per owner; ``owner`` turns an item's left side into its owner or
+    raises :class:`KeyError` or :class:`ValueError`."""
+    for item in text.split():
+        name, _, edge = item.partition(":")  # no ':' leaves edge empty
+        try:
+            who, index = owner(name), int(edge)
+        except (KeyError, ValueError):
+            raise ParseError(f"bad edge assignment {item!r}", line, col) from None
+        if who in edges:
+            raise ParseError(f"{who} is given an edge twice", line, col)
+        edges[who] = index
 
 
 def check_name(name: str) -> None:

@@ -6,6 +6,7 @@ import re
 import shlex
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -443,4 +444,20 @@ def test_exports_match_per_entry_reference(family, labels):
     assert export_json(quandle, pres, graph.stats) == reference_export_json(graph, pres, graph.stats)
     for no_loops in (False, True):
         assert export_dot(quandle, no_loops) == reference_export_dot(graph, no_loops)
-    assert format_table(quandle) == reference_format_table(quandle)
+    assert "".join(format_table(quandle)) == reference_format_table(quandle)
+
+
+def test_table_export_holds_the_table_and_one_row():
+    """Writing the table holds its 2n^2 bytes and one row of text at a time,
+    not the whole text of the table."""
+    pres = family_presentation(FamilyParams("K4planar", labels=(3, 3, 2, 2, 2, 4)))
+    quandle = enumerate_quandle(pres, EnumerationLimits()).graph
+    n = quandle.actions.shape[1]
+    assert n == 464
+    tracemalloc.start()
+    try:
+        cli._emit(format_table(quandle), os.devnull)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * (2 * n * n), f"peak {peak} bytes"

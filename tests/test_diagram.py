@@ -8,7 +8,9 @@ as it is.
 """
 
 import random
+import textwrap
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -29,6 +31,7 @@ from quandleforge import (
     verify,
     wirtinger,
 )
+from quandleforge import diagram, presentation
 from quandleforge.diagram import parse_input
 from quandleforge.families import load_diagram_text
 from quandleforge.words import FieldError
@@ -109,7 +112,7 @@ def test_parse_rejects_comma_labels():
     "text, where",
     [
         (load_diagram_text("theta3").replace("labels: 3 3 2", "labels: 3 3 2 7"),
-         "line 4, col 1: edge 4 has no arcs"),
+         "line 4, col 1: edge 4 has no arc"),
         ("arcs: 2\n\nedge: 1:1\nlabels: 2\n", "line 3, col 1: arc 2 missing from the edge map"),
         ("labels: 2\narcs: 1\n", "line 2, col 1: arc 1 missing from the edge map"),
         ("arcs: 3\nedge: 1:1 2:2 3:2\nlabels: 2 2\nxing + : over=1 in=2 out=3\n"
@@ -122,7 +125,7 @@ def test_parse_rejects_comma_labels():
         ("# arcs\narcs: -1\nlabels:\n", "line 2, col 1: arc count must be >= 0"),
         ("arcs: 1\nedge: 1:a\n", "line 2, col 1: bad edge assignment '1:a'"),
         ("arcs: 1\nedge: 1\n", "line 2, col 1: bad edge assignment '1'"),
-        ("arcs: 1\nedge: 1:2\nlabels: 2\n", "line 2, col 1: arc 1 assigned to edge 2, but only 1 labels given"),
+        ("arcs: 1\nedge: 1:2\nlabels: 2\n", "line 2, col 1: arc 1 mapped to edge 2, but only 1 labels given"),
         ("arcs: 1\nedge: 1:1 2:1\nlabels: 2\n", "line 2, col 1: dangling arc 2 in edge map"),
         ("arcs: 1\nedge: 1:1\nlabels: 2\nxing : over=1 in=1 out=1\n",
          "line 4, col 1: crossing needs a sign, got 'xing'"),
@@ -198,7 +201,7 @@ vertex: 1+ 2+ 3+
 vertex: 1- 2- 3-
 """
     pres = wirtinger(parse_diagram(text))
-    assert [(l.gen.name, l.sign) for l in pres.universals[0].word] == [
+    assert [(l.gen.name, l.sign) for l in pres.universals[0]] == [
         ("x1", 1), ("x2", 1), ("x3", 1),
     ]
 
@@ -214,6 +217,62 @@ def test_parse_input_reads_either_format():
         parse_input("labels: 1\narcs: x\n")
     with pytest.raises(ParseError, match="line 1, col 1: unknown key 'edge'"):
         parse_input("edge: 1:1\ngens: a\n")
+
+
+def _format_examples():
+    """The example files of the docs: each column of the README's "File
+    formats" block, then the literal block of the presentation and the
+    diagram module docstrings."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("File formats.", 1)[1].split("```\n", 2)[1].splitlines()
+    split = block[0].index("# diagram")
+    examples = {"README presentation": [line[:split] for line in block],
+                "README diagram": [line[split:] for line in block]}
+    for module in (presentation, diagram):
+        lines = module.__doc__.split("::\n\n", 1)[1].splitlines()
+        end = next(i for i, line in enumerate(lines) if line and not line.startswith("    "))
+        examples[f"{module.__name__} docstring"] = lines[:end]
+    return [pytest.param(textwrap.dedent("\n".join(lines)), id=name) for name, lines in examples.items()]
+
+
+@pytest.mark.parametrize("text", _format_examples())
+def test_format_examples_parse_and_verify(text):
+    """Every example file in the docs is a valid input with a verified quandle."""
+    pres = parse_input(text)
+    result = enumerate_quandle(pres, EnumerationLimits(10000, 10**6))
+    assert result.completed
+    assert verify(result.graph, pres) == []
+
+
+@pytest.mark.parametrize("text, where", [
+    ("gens: a b c d\nedges: a:1 b:1 c:2 d:2 a:2\nlabels: 3 2\n", "line 2, col 7: a is given an edge twice"),
+    ("arcs: 3\nedge: 1:1 2:1 3:2 1:2\nlabels: 3 2\n", "line 2, col 1: 1 is given an edge twice"),
+], ids=["generator", "arc"])
+def test_an_owner_is_given_one_edge(text, where):
+    """A generator or arc given a second edge is an error at the line that
+    gives it, not a silent overwrite."""
+    with pytest.raises(ParseError) as err:
+        parse_input(text)
+    assert str(err.value) == where
+
+
+@pytest.mark.parametrize("edge_map, labels, message", [
+    ([(1, 1), (2, 1)], "2", "line 2, col 1: OWNER missing from the edge map"),
+    ([(1, 1), (2, 1), (3, 2)], "2", "line 2, col 1: OWNER mapped to edge 2, but only 1 labels given"),
+    ([(1, 1), (2, 1), (3, 1)], "2 2", "line 3, col 1: edge 2 has no NOUN"),
+], ids=["owner-without-edge", "edge-beyond-labels", "edge-without-owner"])
+def test_both_formats_word_an_edge_map_fault_alike(edge_map, labels, message):
+    """Generators x1 x2 x3 and arcs 1 2 3 on the same edge map give the
+    same message, apart from the noun, at the same place."""
+    gens_text = "gens: x1 x2 x3\nedges: " + " ".join(f"x{owner}:{edge}" for owner, edge in edge_map)
+    arcs_text = "arcs: 3\nedge: " + " ".join(f"{owner}:{edge}" for owner, edge in edge_map)
+    messages = []
+    for text, owner, noun in ((gens_text, "generator 'x3'", "generator"), (arcs_text, "arc 3", "arc")):
+        text += f"\nlabels: {labels}\n"
+        with pytest.raises(ParseError) as err:
+            parse_input(text)
+        messages.append(str(err.value).replace(owner, "OWNER").replace(noun, "NOUN"))
+    assert messages == [message, message]
 
 
 def test_subdivide_unknot():

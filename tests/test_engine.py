@@ -31,7 +31,6 @@ from quandleforge import engine
 from quandleforge.cli import export_json
 from quandleforge.engine import CayleyGraph, _LimitHit
 from quandleforge.families import load_diagram_text, table1_rows
-from quandleforge.presentation import UniversalRelation
 from quandleforge.words import GeneratorSymbol, GroupWord, Letter, invert
 
 THETA = "gens: a b c\nedges: a:1 b:2 c:3\nlabels: 3 3 2\nrel * : a b c\n"
@@ -1094,7 +1093,7 @@ def small_presentations(draw, max_primaries=1):
     labels = draw(st.lists(st.integers(2, 3), min_size=ngens, max_size=ngens))
     letter = st.builds(Letter, st.sampled_from(gens), st.sampled_from((1, -1)))
     word = st.lists(letter, min_size=1, max_size=6).map(GroupWord).filter(len)
-    universals = [UniversalRelation(w) for w in draw(st.lists(word, min_size=1, max_size=2))]
+    universals = draw(st.lists(word, min_size=1, max_size=2))
     primaries = [
         PrimaryRelation(draw(st.sampled_from(gens)), w, draw(st.sampled_from(gens)))
         for w in draw(st.lists(word, max_size=max_primaries))
@@ -1187,7 +1186,7 @@ def test_universal_rewrites_keep_sizes_on_random_presentations():
     def check(pres):
         first, second, *rest = loop_words(pres)
         rotated = GroupWord(first.letters[1:] + first.letters[:1])
-        universals = [UniversalRelation(word) for word in (rotated, invert(second), *rest)][::-1]
+        universals = [rotated, invert(second), *rest][::-1]
         rewritten = Presentation(pres.generators, pres.edge_of, pres.labels, pres.primaries, universals)
         limits = EnumerationLimits(3000, 10**6)
         a, b = enumerate_quandle(pres, limits), enumerate_quandle(rewritten, limits)
@@ -1218,7 +1217,7 @@ def test_primary_order_keeps_sizes_on_random_presentations():
         derived = set(expand_relations(
             Presentation(pres.generators, pres.edge_of, pres.labels, pres.primaries)
         ).universals)
-        given_universals = [rel for rel in pres.universals if rel not in derived]
+        given_universals = [word for word in pres.universals if word not in derived]
         reversed_ = Presentation(pres.generators, pres.edge_of, pres.labels, pres.primaries[::-1],
                                  given_universals)
         limits = EnumerationLimits(3000, 10**6)
@@ -1245,7 +1244,7 @@ def _renamed(pres, order):
         {new[gen]: edge for gen, edge in pres.edge_of.items()},
         pres.labels,
         [PrimaryRelation(new[r.lhs_base], word(r.word), new[r.rhs]) for r in pres.primaries],
-        [UniversalRelation(word(r.word)) for r in pres.universals],
+        [word(w) for w in pres.universals],
     )
 
 

@@ -3,6 +3,8 @@
 import ast
 from pathlib import Path
 
+import pytest
+
 import quandleforge
 
 PACKAGE = Path(quandleforge.__file__).parent
@@ -88,3 +90,18 @@ def test_no_module_imports_a_name_it_never_uses():
     assert modules
     for path in modules:
         assert unused_imports(path.read_text(encoding="utf-8")) == [], path.name
+
+
+def test_package_data_globs_cover_every_data_file():
+    """The suite reads the data files from the source tree, so a file that
+    an install leaves out shows only here: every file under ``data/`` must
+    match a ``package-data`` glob of ``pyproject.toml``."""
+    tomllib = pytest.importorskip("tomllib")
+    root = Path(__file__).resolve().parents[1]
+    with open(root / "pyproject.toml", "rb") as handle:
+        globs = tomllib.load(handle)["tool"]["setuptools"]["package-data"]["quandleforge"]
+    package = root / "src" / "quandleforge"
+    files = {path for path in (package / "data").rglob("*") if path.is_file()}
+    assert files
+    shipped = {path for pattern in globs for path in package.glob(pattern)}
+    assert sorted(str(path.relative_to(package)) for path in files - shipped) == []

@@ -12,7 +12,6 @@ from quandleforge import (
     ParseError,
     Presentation,
     PrimaryRelation,
-    UniversalRelation,
     enumerate_quandle,
     expand_relations,
     family_presentation,
@@ -82,12 +81,14 @@ def test_parse_errors(text, message):
         ("gens: a b\n# comment\nedges: a:1 b:3\nlabels: 1 1\n",
          "line 3, col 1: generator 'b' mapped to edge 3, but only 2 labels given"),
         ("gens: a b\nlabels: 1 1\nedges: a:1\n",
-         "line 3, col 1: generator 'b' missing from 'edges:' map"),
+         "line 3, col 1: generator 'b' missing from the edge map"),
         ("# no edges line\ngens: a\nlabels: 1\n",
-         "line 2, col 1: generator 'a' missing from 'edges:' map"),
+         "line 2, col 1: generator 'a' missing from the edge map"),
         ("gens: a b c\nedges: a:1 b:2 c:3\nlabels: 3 3 2\nlabels: 5 5 5\n",
          "line 4, col 1: duplicate 'labels:' line"),
         ("gens: a\nedges: a:1\ngens: b\nlabels: 1\n", "line 3, col 1: duplicate 'gens:' line"),
+        ("# one name twice\ngens: a b a\nedges: a:1 b:1\nlabels: 2\n",
+         "line 2, col 1: duplicate generator name 'a'"),
         # b' would read as a generator, not as the inverse of b
         ("# primes invert\ngens: b b'\nedges: b:1 b':2\nlabels: 2 2\nrel * : b'\n",
          "line 2, col 1: generator name \"b'\" is not an identifier"),
@@ -96,7 +97,8 @@ def test_parse_errors(text, message):
         ("labels: 1\ngens: (a\nedges: (a:1\n", "line 2, col 1: generator name '(a' is not an identifier"),
     ],
     ids=["stray-label", "edge-beyond-labels", "generator-without-edge", "no-edges-line",
-         "duplicate-labels", "duplicate-gens", "prime-in-name", "power-in-name", "paren-in-name"],
+         "duplicate-labels", "duplicate-gens", "duplicate-generator", "prime-in-name", "power-in-name",
+         "paren-in-name"],
 )
 def test_parse_errors_point_at_their_line(text, where):
     """Errors found once the whole file is read point at the line that
@@ -138,7 +140,7 @@ def test_secondary_of_examples():
 
     def secondaries(rel):
         pres = Presentation([a, b, c], {a: 1, b: 2, c: 3}, (2, 2, 2), [rel])
-        return [str(r.word) for r in expand_relations(pres).universals]
+        return [str(word) for word in expand_relations(pres).universals]
 
     assert secondaries(PrimaryRelation(a, parse_word("b", syms), c)) == ["b' a b c'"]
     assert secondaries(PrimaryRelation(a, GroupWord(), b)) == ["a b'"]
@@ -202,7 +204,7 @@ def test_expand_relations_idempotent():
     )
     once = expand_relations(pres)
     twice = expand_relations(once)
-    assert [r.word for r in once.universals] == [r.word for r in twice.universals]
+    assert once.universals == twice.universals
     assert once.primaries == twice.primaries
 
 
@@ -215,8 +217,9 @@ def test_expand_deduplicates():
 
 
 def test_universal_relation_rejects_empty():
-    with pytest.raises(ValueError):
-        UniversalRelation(GroupWord())
+    a = GeneratorSymbol(0, "a")
+    with pytest.raises(ValueError, match="universal relation word must be nonempty"):
+        Presentation([a], {a: 1}, (2,), universals=[GroupWord()])
 
 
 def test_labeling_validation():
@@ -252,7 +255,7 @@ def test_secondary_loops_close_on_enumerated_quandle():
     quandle = enumerate_quandle(expanded, EnumerationLimits(10000, 10**8)).graph
     sec = expanded.universals[len(pres.universals)]  # the primary's secondary
     for x in range(quandle.actions.shape[1]):
-        assert quandle.follow(sec.word, x) == x
+        assert quandle.follow(sec, x) == x
 
 
 def test_quotient_monotonicity():
@@ -265,7 +268,7 @@ def test_quotient_monotonicity():
         base.edge_of,
         base.labels,
         base.primaries,
-        base.universals + (UniversalRelation(parse_word("a", {g.name: g for g in base.generators})),),
+        base.universals + (parse_word("a", {g.name: g for g in base.generators}),),
     )
     assert _size(strengthened) <= 14
 
@@ -277,6 +280,6 @@ def test_quotient_monotonicity():
         base.edge_of,
         base.labels,
         base.primaries,
-        base.universals + (UniversalRelation(parse_word("c' b' a'", syms)),),
+        base.universals + (parse_word("c' b' a'", syms),),
     )
     assert _size(redundant) == 14
