@@ -120,36 +120,61 @@ def format_stats(result) -> str:
 
 def export_dot(quandle: Quandle, no_loops: bool = False) -> str:
     """Deterministic DOT rendering: one node per element, one directed
-    edge per (element, generator), colored by generator."""
-    lines = ["digraph quandle {"]
-    lines += [f'  n{i} [label="{i}"];' for i in range(quandle.actions.shape[1])]
+    edge per (element, generator), colored by generator.  Each
+    generator's lines are joined into one chunk as they are made, so the
+    text is held about twice, not once per line as well."""
+    n = quandle.actions.shape[1]
+    chunks = ["digraph quandle {\n", "".join([f'  n{i} [label="{i}"];\n' for i in range(n)])]
     for g, (gen, row) in enumerate(zip(quandle.pres.generators, quandle.actions.tolist())):
-        attrs = f'[label="{gen.name}" color="{DOT_COLORS[g % len(DOT_COLORS)]}"];'
-        lines += [f"  n{i} -> n{j} {attrs}" for i, j in enumerate(row) if not (no_loops and i == j)]
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+        attrs = f'[label="{gen.name}" color="{DOT_COLORS[g % len(DOT_COLORS)]}"];\n'
+        chunks.append("".join([f"  n{i} -> n{j} {attrs}" for i, j in enumerate(row) if not (no_loops and i == j)]))
+    chunks.append("}\n")
+    return "".join(chunks)
+
+
+def _json_block(opening: str, items, closing: str, depth: int) -> str:
+    """Encoded items in brackets, laid out as ``json.dumps(..., indent=2)``
+    lays out a list or object whose line is indented ``depth`` levels."""
+    if not items:
+        return opening + closing
+    inner = "\n" + "  " * (depth + 1)
+    return opening + inner + ("," + inner).join(items) + "\n" + "  " * depth + closing
+
+
+def _json_ints(values, depth: int) -> str:
+    return _json_block("[", list(map(str, values)), "]", depth)
 
 
 def export_json(quandle: Quandle, pres: Presentation, stats) -> str:
-    """Stable JSON export: size, labels, components and generator actions."""
+    """Stable JSON export: size, labels, components and generator actions.
+
+    The text is ``json.dumps(doc, indent=2) + "\\n"`` of the document
+    {size, edge_labels, components, actions, stats}, written directly,
+    since the indenting encoder of :mod:`json` runs in pure Python.  Only
+    the generator and stats names go through :func:`json.dumps`, which
+    escapes them as it would in the document.
+    """
     orbits, edge_sizes = components(quandle)
     orbit_of = {x: orbit for orbit in orbits for x in orbit}
     members = {pres.edge_of[gen]: orbit_of[int(quandle.basepoint[gen.id])] for gen in quandle.pres.generators}
-    doc = {
-        "size": quandle.actions.shape[1],
-        "edge_labels": list(pres.labels),
-        "components": [
-            {
-                "edge": edge,
-                "size": edge_sizes[edge],
-                "members": members[edge],
-            }
-            for edge in sorted(edge_sizes)
-        ],
-        "actions": {gen.name: row for gen, row in zip(quandle.pres.generators, quandle.actions.tolist())},
-        "stats": stats.as_dict(),
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    parts = [
+        _json_block("{", [f'"edge": {edge}', f'"size": {edge_sizes[edge]}',
+                          f'"members": {_json_ints(members[edge], 3)}'], "}", 2)
+        for edge in sorted(edge_sizes)
+    ]
+    actions = [
+        f"{json.dumps(gen.name)}: {_json_ints(row, 2)}"
+        for gen, row in zip(quandle.pres.generators, quandle.actions.tolist())
+    ]
+    counters = [f"{json.dumps(key)}: {value}" for key, value in stats.as_dict().items()]
+    fields = [
+        f'"size": {quandle.actions.shape[1]}',
+        f'"edge_labels": {_json_ints(pres.labels, 1)}',
+        f'"components": {_json_block("[", parts, "]", 1)}',
+        f'"actions": {_json_block("{", actions, "}", 1)}',
+        f'"stats": {_json_block("{", counters, "}", 1)}',
+    ]
+    return _json_block("{", fields, "}", 0) + "\n"
 
 
 def format_table(quandle: Quandle):

@@ -14,8 +14,9 @@ The construction follows Winker's method:
    relation; a word that reduces to nothing is a coincidence of the two
    vertices.  Tracing is an HLT scan: it follows defined edges forward
    from the start and backward from the end, creates vertices only for
-   the undefined gap between the two scans, and closes the gap's last
-   letter onto the backward end with a new edge or a coincidence,
+   the undefined gap between the two scans, all of them in one block,
+   and closes the gap's last letter onto the backward end with a new
+   edge or a coincidence,
 4. collapsing identifies same-labeled edges into or out of a shared
    vertex, cascading until every action is single-valued; a merged
    vertex's edges move onto its representative as it dies, so the rows
@@ -27,7 +28,10 @@ The construction follows Winker's method:
    each live vertex (collapsing after each trace).  The power word g g of an involutory
    g is traced unreduced, since it is what defines g's table at each
    vertex; any other universal that reduces to nothing traces as the
-   empty loop.
+   empty loop.  g's one table T is an involution on live rows, so g g
+   is closed at v exactly when T[v] >= 0: there the sweep reads that one
+   entry and charges the loop's two steps and one relation traced as
+   tracing it would, and it traces the loop only where T[v] < 0.
 
 One pass suffices.  A universal loop closed at a vertex stays closed in
 every quotient, since merging maps paths to paths, so re-tracing a
@@ -45,6 +49,12 @@ the live vertices in creation order.  Finalizing a completed graph is the
 last compaction, after which vertex ids are element indices; it copies the
 tables once into a read-only :class:`Quandle` (dense arrays over
 elements), which every analysis function here takes.
+
+The block creation of step 3 and the one-entry check of step 5 change
+nothing that is counted or built: the vertices, edges, merges, counters,
+limit points and numbering are those of creating each gap vertex on its
+own and tracing every power loop, and ``max_vertices`` still bounds the
+vertices created.
 
 Everything is deterministic: identical inputs give identical numberings.
 Coincidence processing keeps the lower-numbered vertex as representative.
@@ -185,6 +195,13 @@ class CayleyGraph:
     compacts whenever dead rows outnumber live ones, so the rows held stay
     within about twice the peak live count.  ``limits.max_vertices`` bounds
     created vertices, not live ones or rows held.
+
+    :meth:`trace` creates a gap's vertices in one block, checking the
+    vertex budget once for all of them, and :meth:`run` reads whether an
+    involution's power loop is closed from one table entry instead of
+    tracing it.  Neither changes a counter: ``stats`` counts every
+    created vertex and every step as if each gap vertex were made by
+    :meth:`add_vertex` and each power loop traced.
     """
 
     def __init__(self, pres: Presentation, limits: EnumerationLimits):
@@ -318,6 +335,12 @@ class CayleyGraph:
         backward end by a new edge or a coincidence.  Returns the
         coincidences discovered; no merging happens here.
 
+        The gap's vertices are made in one block: the tables grow at most
+        once, and each vertex is counted in ``stats.vertices_created``.  A
+        gap that would take the count past ``limits.max_vertices`` is not
+        begun: the count is set to ``max_vertices``, where creating the
+        vertices one by one would have stopped, and the limit is hit.
+
         Each letter costs one step.  A trace that would take the step
         count past ``limits.max_steps`` is not started: the count is set
         to ``max_steps + 1`` and the limit is hit.
@@ -346,11 +369,21 @@ class CayleyGraph:
                 break
             end = prev
             last -= 1
-        for out_table, in_table in letters[i:last]:
-            new = self.add_vertex()
-            out_table[cur] = new
-            in_table[new] = cur
-            cur = new
+        if last > i:  # create the gap's vertices in one block
+            created = stats.vertices_created + last - i
+            if created > self.limits.max_vertices:
+                stats.vertices_created = self.limits.max_vertices
+                raise _LimitHit
+            stats.vertices_created = created
+            parent, size = self.parent, self.size
+            self.size = size + last - i
+            while self.size > len(parent):
+                self._grow()
+            for new, (out_table, in_table) in enumerate(letters[i:last], size):
+                parent[new] = new
+                out_table[cur] = new
+                in_table[new] = cur
+                cur = new
         out_table, in_table = letters[last]
         back = in_table[end]
         if back >= 0:
@@ -422,14 +455,22 @@ class CayleyGraph:
         compacted if at least ``_CHUNK`` rows are dead and dead rows
         outnumber live ones."""
         pres, stats = self.pres, self.stats
-        universals = [self.letters(word, loop=True) for word in loop_words(pres)]
+        trace, collapse, find = self.trace, self.collapse, self.find
+        max_steps = self.limits.max_steps
+        # each loop's letters, and for the power loop g g of an involutory g
+        # (the one pair of letters left unreduced) g's one table T
+        universals = []
+        for word in loop_words(pres):
+            letters = self.letters(word, loop=True)
+            power = len(letters) == 2 and letters[0][1] is letters[1][0]
+            universals.append((letters, letters[0][0] if power else None))
         try:
             for rel in pres.primaries:
-                start = self.find(self.basepoint[rel.lhs_base.id])
-                target = self.find(self.basepoint[rel.rhs.id])
-                pending = self.trace(start, self.letters(rel.word), target)
+                start = find(self.basepoint[rel.lhs_base.id])
+                target = find(self.basepoint[rel.rhs.id])
+                pending = trace(start, self.letters(rel.word), target)
                 if pending:
-                    self.collapse(pending)
+                    collapse(pending)
                 stats.relations_traced += 1
 
             parent = self.parent
@@ -437,11 +478,21 @@ class CayleyGraph:
             while v < self.size:  # the sweep creates vertices as it goes
                 if parent[v] == v:
                     cur = v
-                    for letters in universals:
-                        pending = self.trace(cur, letters)
-                        if pending:
-                            self.collapse(pending)
-                            cur = self.find(cur)
+                    for letters, table in universals:
+                        if table is not None and table[cur] >= 0:
+                            # T is an involution on live rows, so g g is closed
+                            # at cur: charge its two steps as trace would
+                            steps = stats.steps + 2
+                            if steps > max_steps:
+                                stats.steps = max_steps + 1
+                                raise _LimitHit
+                            stats.steps = steps
+                        else:
+                            pending = trace(cur, letters)
+                            if pending:
+                                collapse(pending)
+                                if parent[cur] != cur:
+                                    cur = find(cur)
                         stats.relations_traced += 1
                     dead = self.size - (stats.vertices_created - stats.merges)
                     if dead >= _CHUNK and 2 * dead > self.size:

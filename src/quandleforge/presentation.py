@@ -94,9 +94,12 @@ class Presentation:
             if gen.name in names:
                 raise FieldError(f"duplicate generator name {gen.name!r}", "gens")
             names.add(gen.name)
+        known = set(self.generators)
+        for gen in self.edge_of:
+            if gen not in known:
+                raise FieldError(f"unknown generator {gen.name!r} in edge map", "edges")
         pairs = ((repr(gen.name), self.edge_of.get(gen)) for gen in self.generators)
         check_edge_map("generator", "edges", pairs, len(self.labels))
-        known = set(self.generators)
         for rel in self.primaries:
             if rel.lhs_base not in known or rel.rhs not in known:
                 raise ValueError(f"primary relation {rel} uses unknown generator")

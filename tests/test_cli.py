@@ -13,13 +13,13 @@ import numpy as np
 import pytest
 
 from quandleforge import (
-    EnumerationLimits, FamilyParams, components, enumerate_quandle, expand_relations,
-    family_presentation, quandle_table,
+    EnumerationLimits, FamilyParams, GeneratorSymbol, Presentation, components, enumerate_quandle,
+    expand_relations, family_presentation, quandle_table,
 )
 from quandleforge import cli
 from quandleforge.cli import DOT_COLORS, build_parser, export_dot, export_json, format_table, run
 from quandleforge.engine import CayleyGraph, canonical_code_of_actions
-from quandleforge.families import _read_data_text, load_diagram_text
+from quandleforge.families import _read_data_text, load_diagram_text, table1_rows
 
 
 def invoke(capsys, *argv):
@@ -445,6 +445,40 @@ def test_exports_match_per_entry_reference(family, labels):
     for no_loops in (False, True):
         assert export_dot(quandle, no_loops) == reference_export_dot(graph, no_loops)
     assert "".join(format_table(quandle)) == reference_format_table(quandle)
+
+
+def assert_exports_match_the_references(pres):
+    graph = CayleyGraph(pres, EnumerationLimits())
+    assert graph.run()
+    quandle = graph.finalize()
+    assert export_json(quandle, pres, graph.stats) == reference_export_json(graph, pres, graph.stats)
+    for no_loops in (False, True):
+        assert export_dot(quandle, no_loops) == reference_export_dot(graph, no_loops)
+
+
+@pytest.mark.parametrize("row", table1_rows(), ids=lambda row: f"{row['family']}-{row['labels']}")
+def test_exports_match_the_references_on_table1(row):
+    assert_exports_match_the_references(
+        family_presentation(FamilyParams(row["family"], labels=tuple(row["labels"])))
+    )
+
+
+def test_exports_match_the_references_on_the_gkmn_box():
+    params = [FamilyParams("Gkm", k=k, m=m) for k in range(1, 5) for m in range(1, 5)]
+    params += [FamilyParams("Gkmn", k=k, m=m, n=n) for k in range(1, 5) for m in range(1, 5) for n in range(1, 5)]
+    assert len(params) == 80
+    for p in params:
+        assert_exports_match_the_references(family_presentation(p))
+
+
+def test_exports_match_the_references_on_edge_cases():
+    empty = Presentation([], {}, ())
+    assert enumerate_quandle(empty).stats.live == 0  # no orbits, no labels, no actions
+    alpha = GeneratorSymbol(0, "α")
+    for pres in (empty, Presentation([alpha], {alpha: 1}, (2,))):
+        assert_exports_match_the_references(pres)
+    res = enumerate_quandle(Presentation([alpha], {alpha: 1}, (2,)))
+    assert '"\\u03b1": [' in export_json(res.graph, res.graph.pres, res.stats)
 
 
 def test_table_export_holds_the_table_and_one_row():

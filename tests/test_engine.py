@@ -33,6 +33,7 @@ from quandleforge.engine import CayleyGraph, _LimitHit
 from quandleforge.families import load_diagram_text, table1_rows
 from quandleforge.words import GeneratorSymbol, GroupWord, Letter, invert
 
+GKMN_16_8_8 = FamilyParams("Gkmn", k=16, m=8, n=8)
 THETA = "gens: a b c\nedges: a:1 b:2 c:3\nlabels: 3 3 2\nrel * : a b c\n"
 
 # every table1 row but the 17040-element one, for the tests that run a
@@ -193,11 +194,96 @@ class PeakLiveGraph(CayleyGraph):
 
     peak_live = 0
 
-    def add_vertex(self):
-        v = super().add_vertex()
-        # merges are counted when a collapse ends, and none creates a vertex
+    def _record(self):
         self.peak_live = max(self.peak_live, self.stats.vertices_created - self.stats.merges)
-        return v
+
+    # only a collapse kills vertices, so the live count peaks just before
+    # one starts or when the run ends
+    def collapse(self, queue):
+        self._record()
+        super().collapse(queue)
+
+    def run(self):
+        try:
+            return super().run()
+        finally:
+            self._record()
+
+
+class PlainSweepGraph(CayleyGraph):
+    """The enumerator as it was before its sweep was streamlined, kept as a
+    reference: ``trace`` creates each gap vertex through ``add_vertex``,
+    and ``run`` traces every universal loop, the power loops of the
+    involutory generators included."""
+
+    def trace(self, start, letters, target=None):
+        stats = self.stats
+        steps = stats.steps + len(letters)
+        if steps > self.limits.max_steps:
+            stats.steps = self.limits.max_steps + 1
+            raise _LimitHit
+        stats.steps = steps
+        cur, goal = start, start if target is None else target
+        for i, (out_table, _) in enumerate(letters):
+            nxt = out_table[cur]
+            if nxt < 0:
+                break
+            cur = nxt
+        else:
+            return [] if cur == goal else [(cur, goal)]
+        last = len(letters) - 1
+        end = goal
+        while last > i:
+            prev = letters[last][1][end]
+            if prev < 0:
+                break
+            end = prev
+            last -= 1
+        for out_table, in_table in letters[i:last]:
+            new = self.add_vertex()
+            out_table[cur] = new
+            in_table[new] = cur
+            cur = new
+        out_table, in_table = letters[last]
+        back = in_table[end]
+        if back >= 0:
+            return [(back, cur)] if back != cur else []
+        out_table[cur] = end
+        in_table[end] = cur
+        return []
+
+    def run(self):
+        pres, stats = self.pres, self.stats
+        universals = [self.letters(word, loop=True) for word in loop_words(pres)]
+        try:
+            for rel in pres.primaries:
+                start = self.find(self.basepoint[rel.lhs_base.id])
+                target = self.find(self.basepoint[rel.rhs.id])
+                pending = self.trace(start, self.letters(rel.word), target)
+                if pending:
+                    self.collapse(pending)
+                stats.relations_traced += 1
+            parent = self.parent
+            v = 0
+            while v < self.size:
+                if parent[v] == v:
+                    cur = v
+                    for letters in universals:
+                        pending = self.trace(cur, letters)
+                        if pending:
+                            self.collapse(pending)
+                            cur = self.find(cur)
+                        stats.relations_traced += 1
+                    dead = self.size - (stats.vertices_created - stats.merges)
+                    if dead >= engine._CHUNK and 2 * dead > self.size:
+                        v = self.compact(v + 1)
+                        continue
+                v += 1
+        except _LimitHit:
+            return False
+        finally:
+            stats.live = stats.vertices_created - stats.merges
+        return True
 
 
 def test_single_generator_free_quandle():
@@ -998,6 +1084,8 @@ def test_limits_reject_vertex_ids_beyond_int32():
     (FamilyParams("Gkmn", k=2, m=3, n=5), EnumerationLimits(), (557, 405, 1540, 5641, 152)),
     (FamilyParams("DH", labels=(2, 2, 2, 3, 2, 2)), EnumerationLimits(), (202, 100, 1430, 3876, 102)),
     (FamilyParams("theta3", labels=(3, 3, 2)), EnumerationLimits(), (18, 4, 56, 158, 14)),
+    (GKMN_16_8_8, EnumerationLimits(), (115273, 110665, 59070, 689551, 4608)),
+    (FamilyParams("K4planar", labels=(3, 3, 2, 2, 2, 5)), EnumerationLimits(), (44503, 27463, 170400, 521623, 17040)),
 ])
 def test_engine_counters_pinned(params, limits, counters):
     stats = enumerate_quandle(expand_relations(family_presentation(params)), limits).stats
@@ -1350,7 +1438,6 @@ def test_two_runs_agree_on_random_presentations(pres):
             assert np.array_equal(getattr(a.graph, name), getattr(b.graph, name)), name
 
 
-GKMN_16_8_8 = FamilyParams("Gkmn", k=16, m=8, n=8)
 COMPACTION_INPUTS = [(name, p) for name, p in EQUIVALENCE_INPUTS if p is not None] + [
     ("Gkmn-16_8_8", GKMN_16_8_8)
 ]
@@ -1397,3 +1484,87 @@ def test_rows_held_follow_the_live_count():
     assert graph.peak_live == 34_555
     assert all(len(table) == len(graph.parent) for table, _ in graph.pairs)
     assert len(graph.parent) <= 2 * graph.peak_live + engine._CHUNK
+
+
+def assert_sweeps_agree(pres, limits):
+    """The enumerator ends where :class:`PlainSweepGraph` does, with the same
+    counters and, unless the vertex budget stopped both, the same graph.
+    Returns the two graphs, finalized where they were compared."""
+    plain, graph = PlainSweepGraph(pres, limits), CayleyGraph(pres, limits)
+    done = plain.run()
+    assert graph.run() == done
+    assert graph.stats == plain.stats
+    # at the vertex budget the per-letter path has made part of a gap before
+    # it stops, where the block path makes none of it
+    if done or plain.stats.vertices_created < limits.max_vertices:
+        assert graph.size == plain.size
+        a, b = plain.finalize(), graph.finalize()
+        for name in ("actions", "inverses", "basepoint"):
+            assert np.array_equal(getattr(a, name), getattr(b, name)), name
+    return plain, graph
+
+
+@pytest.mark.parametrize(
+    "params", [p for _, p in EQUIVALENCE_INPUTS], ids=[name for name, _ in EQUIVALENCE_INPUTS]
+)
+def test_sweep_matches_the_plain_sweep(params):
+    if params is None:
+        pres = expand_relations(wirtinger(parse_diagram(load_diagram_text("kt"))))
+    else:
+        pres = expand_relations(family_presentation(params))
+    assert_sweeps_agree(pres, EnumerationLimits(2_000_000, 10**9))
+
+
+# the vertex budget binds two vertices into a gap at 5000 and as a gap
+# begins at 40,000: the per-letter path had made that many of the gap's
+# vertices when it stopped
+@pytest.mark.parametrize("max_vertices, begun", [(5000, 2), (40_000, 0)])
+def test_sweep_matches_the_plain_sweep_at_a_vertex_budget(max_vertices, begun):
+    limits = EnumerationLimits(max_vertices, 10**9)
+    plain, graph = assert_sweeps_agree(expand_relations(family_presentation(FamilyParams("K4knot"))), limits)
+    assert graph.stats.vertices_created == max_vertices
+    assert plain.size - graph.size == begun
+
+
+@pytest.mark.parametrize("max_steps", [20_000, 200_000])
+def test_sweep_matches_the_plain_sweep_at_a_step_budget(max_steps):
+    limits = EnumerationLimits(2_000_000, max_steps)
+    _, graph = assert_sweeps_agree(expand_relations(family_presentation(FamilyParams("K4knot"))), limits)
+    assert graph.stats.steps == max_steps + 1
+
+
+class PowerLoopRecorder(PlainSweepGraph):
+    """The plain sweep, recording the step count before each power loop
+    g g of an involutory g that is already closed where it is traced."""
+
+    def __init__(self, pres, limits):
+        super().__init__(pres, limits)
+        self.closed_at = []
+
+    def trace(self, start, letters, target=None):
+        if len(letters) == 2 and letters[0][1] is letters[1][0] and letters[0][0][start] >= 0:
+            self.closed_at.append(self.stats.steps)
+        return super().trace(start, letters, target)
+
+
+def test_sweep_matches_the_plain_sweep_at_a_step_budget_on_a_power_loop():
+    """One step short of a closed power loop's two, the enumerator stops at
+    that loop as the plain sweep does; with both steps left, it charges
+    them and stops at the next trace."""
+    pres = expand_relations(family_presentation(FamilyParams("K4knot")))
+    recorder = PowerLoopRecorder(pres, EnumerationLimits(2_000_000, 20_000))
+    assert not recorder.run()
+    assert len(recorder.closed_at) > 1000
+    steps = recorder.closed_at[1000]
+    relations = []
+    for budget in (steps + 1, steps + 2):
+        _, graph = assert_sweeps_agree(pres, EnumerationLimits(2_000_000, budget))
+        assert graph.stats.steps == budget + 1
+        relations.append(graph.stats.relations_traced)
+    assert relations[1] == relations[0] + 1  # the loop itself, charged in full
+
+
+@settings(PROPERTY, max_examples=100)
+@given(small_presentations(max_primaries=2), st.integers(3, 3000), st.integers(1, 10**5))
+def test_sweep_matches_the_plain_sweep_on_random_presentations(pres, max_vertices, max_steps):
+    assert_sweeps_agree(pres, EnumerationLimits(max_vertices, max_steps))

@@ -239,6 +239,14 @@ def test_built_presentation_names_are_identifiers():
     assert err.value.key == "gens"
 
 
+def test_edge_map_rejects_an_unknown_generator():
+    """As a diagram's edge map rejects an arc beyond ``arcs:``."""
+    a, b = GeneratorSymbol(0, "a"), GeneratorSymbol(1, "b")
+    with pytest.raises(FieldError, match="unknown generator 'b' in edge map") as err:
+        Presentation([a], {a: 1, b: 5}, (2,))
+    assert err.value.key == "edges"
+
+
 THETA = "gens: a b c\nedges: a:1 b:2 c:3\nlabels: 3 3 2\nrel * : a b c\n"
 
 
