@@ -25,13 +25,13 @@ The construction follows Winker's method:
    relation of ``loop_words(pres)`` (the presentation's own, the
    conjugate of each primary and the power relation g^n of each
    generator at its current label) by the same scan as a closed loop at
-   each live vertex (collapsing after each trace).  The power word g g of an involutory
-   g is traced unreduced, since it is what defines g's table at each
-   vertex; any other universal that reduces to nothing traces as the
-   empty loop.  g's one table T is an involution on live rows, so g g
-   is closed at v exactly when T[v] >= 0: there the sweep reads that one
-   entry and charges the loop's two steps and one relation traced as
-   tracing it would, and it traces the loop only where T[v] < 0.
+   each live vertex (collapsing after each trace).  The power loop g g
+   of an involutory g, whose letters reduce to nothing, is the sweep's
+   own, since it defines g's one table T: it costs two steps and one
+   relation traced at every vertex, closed or not, and T is an
+   involution on live rows, so where T[v] < 0 it is open at v and one
+   new vertex u closes it, with T[v] = u and T[u] = v.  Any other
+   universal that reduces to nothing traces as the empty loop.
 
 One pass suffices.  A universal loop closed at a vertex stays closed in
 every quotient, since merging maps paths to paths, so re-tracing a
@@ -50,11 +50,10 @@ last compaction, after which vertex ids are element indices; it copies the
 tables once into a read-only :class:`Quandle` (dense arrays over
 elements), which every analysis function here takes.
 
-The block creation of step 3 and the one-entry check of step 5 change
-nothing that is counted or built: the vertices, edges, merges, counters,
-limit points and numbering are those of creating each gap vertex on its
-own and tracing every power loop, and ``max_vertices`` still bounds the
-vertices created.
+The block creation of step 3 changes nothing that is counted or built:
+the vertices, edges, merges, counters, limit points and numbering are
+those of creating each gap vertex on its own, and ``max_vertices`` still
+bounds the vertices created, the basepoints of step 1 included.
 
 Everything is deterministic: identical inputs give identical numberings.
 Coincidence processing keeps the lower-numbered vertex as representative.
@@ -197,11 +196,10 @@ class CayleyGraph:
     created vertices, not live ones or rows held.
 
     :meth:`trace` creates a gap's vertices in one block, checking the
-    vertex budget once for all of them, and :meth:`run` reads whether an
-    involution's power loop is closed from one table entry instead of
-    tracing it.  Neither changes a counter: ``stats`` counts every
-    created vertex and every step as if each gap vertex were made by
-    :meth:`add_vertex` and each power loop traced.
+    vertex budget once for all of them; ``stats`` counts every created
+    vertex as if each were made by :meth:`add_vertex`.  :meth:`run`
+    alone closes an involution's power loop ``g g``, which
+    :meth:`letters` reduces to nothing.
     """
 
     def __init__(self, pres: Presentation, limits: EnumerationLimits):
@@ -289,7 +287,7 @@ class CayleyGraph:
 
     # -- tracing and collapsing ---------------------------------------------
 
-    def letters(self, word: GroupWord, loop: bool = False) -> list[tuple[array, array]]:
+    def letters(self, word: GroupWord) -> list[tuple[array, array]]:
         """The (out table, in table) pair of each letter, as :meth:`trace`
         takes them, for the word reduced in the free product.
 
@@ -298,18 +296,13 @@ class CayleyGraph:
         so this cancels ``g g``, ``g g'`` and ``g' g`` for an involutory g
         (label 1 or 2), whose one table is both, and then any pair such a
         cancellation brings together: tracing ``g g`` would overwrite the
-        entry its first letter just wrote.  The
-        one word kept unreduced is the power word of an involutory g traced
-        as a closed loop (``loop`` true): two equal letters of g, since
-        tracing it is what defines g's table at each vertex.  Any other
-        word that reduces to nothing is traced as the empty word.
+        entry its first letter just wrote.  A word that reduces to nothing
+        is traced as the empty word.
         """
         ngens = len(self.fwd)
-        pairs = [self.pairs[letter.gen.id if letter.sign > 0 else ngens + letter.gen.id] for letter in word]
-        if loop and len(pairs) == 2 and word.letters[0] == word.letters[1] and pairs[0][0] is pairs[0][1]:
-            return pairs
         reduced: list[tuple[array, array]] = []
-        for pair in pairs:
+        for letter in word:
+            pair = self.pairs[letter.gen.id if letter.sign > 0 else ngens + letter.gen.id]
             if reduced and reduced[-1][1] is pair[0]:
                 reduced.pop()
             else:
@@ -323,17 +316,16 @@ class CayleyGraph:
         word reduced in the free product, as :meth:`letters` gives it:
         ``(fwd[g], bwd[g])`` for a generator g and ``(bwd[g], fwd[g])``
         for its inverse, so no letter's out table is the in table of the
-        letter before, except in the power word ``g g`` of an involutory
-        g traced as a closed loop.  The path must end at
-        ``target`` (``start`` itself when ``target`` is None, i.e. a
-        universal relation traced as a closed loop).  Both must be live:
-        table entries are read without :meth:`find`.  The scan follows
-        defined edges forward from ``start`` and then backward from the
-        goal, stopping one letter after the forward position at most; new
-        vertices are created only for the letters strictly inside the
-        gap between the two, and the last gap letter is closed onto the
-        backward end by a new edge or a coincidence.  Returns the
-        coincidences discovered; no merging happens here.
+        letter before.  The path must end at ``target`` (``start`` itself
+        when ``target`` is None, i.e. a universal relation traced as a
+        closed loop).  Both must be live: table entries are read without
+        :meth:`find`.  The scan follows defined edges forward from
+        ``start`` and then backward from the goal, stopping one letter
+        after the forward position at most; new vertices are created only
+        for the letters strictly inside the gap between the two, and the
+        last gap letter is closed onto the backward end by a new edge or a
+        coincidence.  Returns the coincidences discovered; no merging
+        happens here.
 
         The gap's vertices are made in one block: the tables grow at most
         once, and each vertex is counted in ``stats.vertices_created``.  A
@@ -386,11 +378,8 @@ class CayleyGraph:
                 cur = new
         out_table, in_table = letters[last]
         back = in_table[end]
-        if back >= 0:
-            # out_table[cur] was undefined, so back is another vertex, but
-            # on the power word g g the gap vertex's write T[cur] = end
-            # already closed the loop, and back is cur
-            return [(back, cur)] if back != cur else []
+        if back >= 0:  # out_table[cur] was undefined, so back is another vertex
+            return [(back, cur)]
         out_table[cur] = end
         in_table[end] = cur
         return []
@@ -457,13 +446,12 @@ class CayleyGraph:
         pres, stats = self.pres, self.stats
         trace, collapse, find = self.trace, self.collapse, self.find
         max_steps = self.limits.max_steps
-        # each loop's letters, and for the power loop g g of an involutory g
-        # (the one pair of letters left unreduced) g's one table T
+        # each loop's letters, and g's one table T for the power loop g g of an involutory g
         universals = []
         for word in loop_words(pres):
-            letters = self.letters(word, loop=True)
-            power = len(letters) == 2 and letters[0][1] is letters[1][0]
-            universals.append((letters, letters[0][0] if power else None))
+            g = word.letters[0].gen.id
+            power = len(word) == 2 and word.letters[0] == word.letters[1] and self.fwd[g] is self.bwd[g]
+            universals.append((self.letters(word), self.fwd[g] if power else None))
         try:
             for rel in pres.primaries:
                 start = find(self.basepoint[rel.lhs_base.id])
@@ -479,20 +467,23 @@ class CayleyGraph:
                 if parent[v] == v:
                     cur = v
                     for letters, table in universals:
-                        if table is not None and table[cur] >= 0:
-                            # T is an involution on live rows, so g g is closed
-                            # at cur: charge its two steps as trace would
-                            steps = stats.steps + 2
-                            if steps > max_steps:
-                                stats.steps = max_steps + 1
-                                raise _LimitHit
-                            stats.steps = steps
-                        else:
+                        if table is None:
                             pending = trace(cur, letters)
                             if pending:
                                 collapse(pending)
                                 if parent[cur] != cur:
                                     cur = find(cur)
+                        else:
+                            # the power loop g g: T is an involution on live
+                            # rows, so the loop is open at cur where T[cur] < 0
+                            steps = stats.steps + 2
+                            if steps > max_steps:
+                                stats.steps = max_steps + 1
+                                raise _LimitHit
+                            stats.steps = steps
+                            if table[cur] < 0:
+                                table[cur] = u = self.add_vertex()
+                                table[u] = cur
                         stats.relations_traced += 1
                     dead = self.size - (stats.vertices_created - stats.merges)
                     if dead >= _CHUNK and 2 * dead > self.size:
@@ -536,7 +527,12 @@ def enumerate_quandle(pres: Presentation, limits: EnumerationLimits | None = Non
     limit-exceeded report with partial statistics; hitting a limit is a
     report, not an error.
     """
-    graph = CayleyGraph(pres, limits or EnumerationLimits())
+    limits = limits or EnumerationLimits()
+    try:
+        graph = CayleyGraph(pres, limits)
+    except _LimitHit:  # the basepoints alone exceed the vertex budget; none merged
+        created = limits.max_vertices
+        return EnumerationResult("limit-exceeded", None, EnumerationStats(created, live=created))
     if not graph.run():
         return EnumerationResult("limit-exceeded", None, graph.stats)
     quandle = graph.finalize()

@@ -171,9 +171,16 @@ def test_limits_exit_two_and_failures_one(capsys, monkeypatch):
     code, out, _ = invoke(capsys, "oracle-check", "--k", "200", "--m", "1", "--n", "1",
                           "--max-vertices", "100")
     assert (code, out) == (2, "LIMIT G(200,1,1): enumeration hit limits\n")
+    # a vertex budget below the generator count is a limit too
+    code, out, _ = invoke(capsys, "oracle-check", "--k", "1", "--m", "1", "--n", "1",
+                          "--max-vertices", "3")
+    assert (code, out) == (2, "LIMIT G(1,1,1): enumeration hit limits\n")
     code, out, _ = invoke(capsys, "regress", "--max-vertices", "50")
     assert code == 2
     assert {line.split()[0] for line in out.splitlines()} == {"PASS", "LIMIT"}
+    code, out, _ = invoke(capsys, "regress", "--max-vertices", "2")
+    assert code == 2
+    assert {line.split()[0] for line in out.splitlines()} == {"LIMIT"}
     rows = [{"family": "theta3", "labels": [3, 3, 2], "expected": 15},
             {"family": "KT", "labels": [3, 3, 2], "expected": 1680}]
     monkeypatch.setattr(cli, "table1_rows", lambda: rows)
@@ -317,15 +324,21 @@ def test_enumerate_emits_then_exits_one_on_a_violation(capsys, monkeypatch):
 
 
 def test_verify_on_a_limit_exits_two_with_stats(capsys):
-    code, out, err = invoke(capsys, "verify", "--family", "K4knot", "--max-vertices", "5000")
-    assert code == 2
-    assert err == ""
-    lines = out.splitlines()
-    assert lines[0] == "outcome=limit-exceeded"
-    assert "vertices_created=5000" in lines
-    assert [line.split("=")[0] for line in lines[1:]] == [
-        "vertices_created", "merges", "relations_traced", "steps", "live",
-    ]
+    # the last two budgets are below the generator count
+    for argv, budget in [
+        (("verify", "--family", "K4knot"), "5000"),
+        (("verify", "--family", "Gkm", "--k", "1", "--m", "2"), "1"),
+        (("enumerate", "--family", "theta3", "--labels", "3,3,2", "--format", "stats"), "2"),
+    ]:
+        code, out, err = invoke(capsys, *argv, "--max-vertices", budget)
+        assert code == 2
+        assert err == ""
+        lines = out.splitlines()
+        assert lines[0] == "outcome=limit-exceeded"
+        assert f"vertices_created={budget}" in lines
+        assert [line.split("=")[0] for line in lines[1:]] == [
+            "vertices_created", "merges", "relations_traced", "steps", "live",
+        ]
 
 
 def test_python_dash_m():

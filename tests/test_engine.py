@@ -155,7 +155,7 @@ class TwoTableGraph(CayleyGraph):
         self.bwd = [array("i", b) if b is f else b for f, b in zip(self.fwd, self.bwd)]
         self.pairs = self.distinct = list(zip(self.fwd + self.bwd, self.bwd + self.fwd))
 
-    def letters(self, word, loop=False):
+    def letters(self, word):
         ngens = len(self.fwd)
         return [self.pairs[letter.gen.id if letter.sign > 0 else ngens + letter.gen.id] for letter in word]
 
@@ -214,7 +214,21 @@ class PlainSweepGraph(CayleyGraph):
     """The enumerator as it was before its sweep was streamlined, kept as a
     reference: ``trace`` creates each gap vertex through ``add_vertex``,
     and ``run`` traces every universal loop, the power loops of the
-    involutory generators included."""
+    involutory generators included, which ``letters`` keeps unreduced
+    when ``loop`` is true."""
+
+    def letters(self, word, loop=False):
+        ngens = len(self.fwd)
+        pairs = [self.pairs[letter.gen.id if letter.sign > 0 else ngens + letter.gen.id] for letter in word]
+        if loop and len(pairs) == 2 and word.letters[0] == word.letters[1] and pairs[0][0] is pairs[0][1]:
+            return pairs
+        reduced = []
+        for pair in pairs:
+            if reduced and reduced[-1][1] is pair[0]:
+                reduced.pop()
+            else:
+                reduced.append(pair)
+        return reduced
 
     def trace(self, start, letters, target=None):
         stats = self.stats
@@ -315,6 +329,10 @@ def test_limit_exceeded_is_report_not_error():
     assert res.graph is None
     assert res.stats.vertices_created >= 10000
     assert res.stats.live > 0
+    # a budget below the generator count: the basepoints hit it before any relation is traced
+    res = enumerate_quandle(theta(), EnumerationLimits(2, 10**9))
+    assert (res.outcome, res.graph) == ("limit-exceeded", None)
+    assert res.stats.as_dict() == dict(vertices_created=2, merges=0, relations_traced=0, steps=0, live=2)
 
 
 def test_step_limit_hit_inside_collapse():
@@ -411,18 +429,17 @@ def test_trace_scans_meeting_at_different_vertices_return_one_pair():
     assert graph.stats.vertices_created == 4
 
 
-def test_trace_power_word_of_an_involution_defines_its_table():
-    """Tracing a a at a vertex where a's one table is undefined creates one
-    vertex, and its write T[new] = v already closes the loop: no pair."""
-    pres, graph = _fresh_graph()
-    a = pres.generators[0]
-    table = graph.fwd[a.id]
-    v = graph.add_vertex()
-    power = graph.letters(GroupWord([Letter(a, 1)] * 2), loop=True)
-    assert graph.trace(v, power) == []
-    assert (table[v], table[v + 1]) == (v + 1, v)
-    assert graph.trace(v + 1, power) == []  # now defined both ways
-    assert graph.stats.vertices_created == 5
+def test_run_closes_each_open_power_loop_with_one_vertex():
+    """With only the power loops a a and b b of two involutions, the sweep
+    charges each two steps and one relation traced, and where one is open
+    at v, makes one vertex u with T[v] = u and T[u] = v, until the vertex
+    budget stops it at b b of vertex 3."""
+    pres = parse_presentation("gens: a b\nedges: a:1 b:2\nlabels: 2 2\n")
+    graph = CayleyGraph(pres, EnumerationLimits(5, 10**6))
+    assert not graph.run()
+    ta, tb = graph.fwd
+    assert (list(ta[:5]), list(tb[:5])) == ([0, 3, 4, 1, 2], [2, 1, 0, -1, -1])
+    assert graph.stats.as_dict() == dict(vertices_created=5, merges=0, relations_traced=7, steps=16, live=5)
 
 
 def test_trace_complete_forward_scan_returns_endpoints():
@@ -496,13 +513,12 @@ def test_letters_reduce_in_the_free_product():
     syms = {g.name: g for g in pres.generators}
     ta, tc = graph.fwd[syms["a"].id], graph.fwd[syms["c"].id]
 
-    def letters(text, loop=False):
-        return graph.letters(parse_word(text, syms), loop)
+    def letters(text):
+        return graph.letters(parse_word(text, syms))
 
     for word in ("a a", "a a'", "a' a", "a' a'", "a b b a'"):
         assert letters(word) == [], word
-        assert letters(word, loop=True) == ([(ta, ta)] * 2 if word in ("a a", "a' a'") else []), word
-    assert letters("c c") == letters("c c", loop=True) == [(tc, graph.bwd[syms["c"].id])] * 2
+    assert letters("c c") == [(tc, graph.bwd[syms["c"].id])] * 2
     assert letters("a b a a b c") == [(ta, ta), letters("c")[0]]
 
 
@@ -511,7 +527,7 @@ def test_letters_reduce_in_the_free_product():
     # left a partial action
     ("gens: a b\nedges: a:1 b:2\nlabels: 2 2\nrel * : b' b' b' a\n", 2),
     # a primary whose word is the power word of an involutory generator,
-    # which only a closed loop may trace unreduced
+    # which reduces to nothing there, unlike the sweep's own power loop
     ("gens: a b c\nedges: a:1 b:2 c:3\nlabels: 2 2 2\nrel a : b b = c\nrel * : a b c\n", 3),
 ])
 def test_shared_tables_close_every_action(text, size):
