@@ -18,7 +18,7 @@ from quandleforge import (
 )
 from quandleforge import cli
 from quandleforge.cli import DOT_COLORS, build_parser, export_dot, export_json, format_table, run
-from quandleforge.engine import CayleyGraph, canonical_code_of_actions
+from quandleforge.engine import canonical_code_of_actions
 from quandleforge.families import _read_data_text, load_diagram_text, table1_rows
 
 
@@ -379,47 +379,35 @@ def test_int32_vertex_limit_exits_one(capsys):
     assert err.startswith("error: max_vertices 3000000000 exceeds the int32 vertex id limit")
 
 
-# The exports as first written, one union-find lookup per entry on the
-# completed CayleyGraph; the exports of its finalized Quandle must
-# produce the same bytes.
+# The exports as first written, one entry at a time from the finished
+# Quandle's arrays; the exports must produce the same bytes.
 
-def live_vertices(graph):
-    return [v for v in range(graph.size) if graph.parent[v] == v]
-
-
-def reference_export_dot(graph, no_loops=False):
-    order = live_vertices(graph)
-    index = {v: i for i, v in enumerate(order)}
+def reference_export_dot(quandle, no_loops=False):
+    n = quandle.actions.shape[1]
     lines = ["digraph quandle {"]
-    for v in order:
-        lines.append(f'  n{index[v]} [label="{index[v]}"];')
-    for g, gen in enumerate(graph.pres.generators):
+    for i in range(n):
+        lines.append(f'  n{i} [label="{i}"];')
+    for g, gen in enumerate(quandle.pres.generators):
         color = DOT_COLORS[g % len(DOT_COLORS)]
-        for v in order:
-            w = graph.find(graph.fwd[g][v])
-            if no_loops and w == v:
+        for i in range(n):
+            j = int(quandle.actions[g, i])
+            if no_loops and j == i:
                 continue
-            lines.append(
-                f'  n{index[v]} -> n{index[w]} [label="{gen.name}" color="{color}"];'
-            )
+            lines.append(f'  n{i} -> n{j} [label="{gen.name}" color="{color}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
-def reference_export_json(graph, pres, stats):
-    order = live_vertices(graph)
-    index = {v: i for i, v in enumerate(order)}
-    orbits, edge_sizes = components(graph.finalize())
+def reference_export_json(quandle, pres, stats):
+    n = quandle.actions.shape[1]
+    orbits, edge_sizes = components(quandle)
     orbit_of = {}
     for i, orbit in enumerate(orbits):
         for x in orbit:
             orbit_of[x] = i
-    edge_orbit = {
-        pres.edge_of[gen]: orbit_of[index[graph.find(graph.basepoint[gen.id])]]
-        for gen in pres.generators
-    }
+    edge_orbit = {pres.edge_of[gen]: orbit_of[int(quandle.basepoint[gen.id])] for gen in pres.generators}
     doc = {
-        "size": len(order),
+        "size": n,
         "edge_labels": list(pres.labels),
         "components": [
             {
@@ -430,7 +418,7 @@ def reference_export_json(graph, pres, stats):
             for edge in sorted(edge_sizes)
         ],
         "actions": {
-            gen.name: [index[graph.find(graph.fwd[g][v])] for v in order]
+            gen.name: [int(quandle.actions[g, i]) for i in range(n)]
             for g, gen in enumerate(pres.generators)
         },
         "stats": stats.as_dict(),
@@ -451,22 +439,19 @@ def reference_format_table(quandle):
 ])
 def test_exports_match_per_entry_reference(family, labels):
     pres = expand_relations(family_presentation(FamilyParams(family, labels=labels)))
-    graph = CayleyGraph(pres, EnumerationLimits())
-    assert graph.run()
-    quandle = graph.finalize()
-    assert export_json(quandle, pres, graph.stats) == reference_export_json(graph, pres, graph.stats)
-    for no_loops in (False, True):
-        assert export_dot(quandle, no_loops) == reference_export_dot(graph, no_loops)
+    quandle = assert_exports_match_the_references(pres)
     assert "".join(format_table(quandle)) == reference_format_table(quandle)
 
 
 def assert_exports_match_the_references(pres):
-    graph = CayleyGraph(pres, EnumerationLimits())
-    assert graph.run()
-    quandle = graph.finalize()
-    assert export_json(quandle, pres, graph.stats) == reference_export_json(graph, pres, graph.stats)
+    """Returns the quandle whose exports were compared."""
+    res = enumerate_quandle(pres, EnumerationLimits())
+    assert res.completed
+    quandle = res.graph
+    assert export_json(quandle, pres, res.stats) == reference_export_json(quandle, pres, res.stats)
     for no_loops in (False, True):
-        assert export_dot(quandle, no_loops) == reference_export_dot(graph, no_loops)
+        assert export_dot(quandle, no_loops) == reference_export_dot(quandle, no_loops)
+    return quandle
 
 
 @pytest.mark.parametrize("row", table1_rows(), ids=lambda row: f"{row['family']}-{row['labels']}")

@@ -1,8 +1,27 @@
-"""Enumeration engine: tracing, collapsing, completion, verification."""
+"""Enumeration engine: tracing, collapsing, completion, verification.
 
+Each comparison of the engine names its reference:
+
+- ``ReferenceGraph`` (``tests/reference.py``), an enumerator that
+  shares no code with the engine, for the finished quandle: both arrays
+  are compared in the standard numbering of ``standardize``, on the
+  comparison inputs (``EQUIVALENCE_INPUTS`` and Gkmn(16,8,8)), where the
+  engine must also create and merge no more vertices, and on random
+  presentations;
+- ``PlainSweepGraph``, the enumerator before its sweep was streamlined,
+  for the exact counters, limit points and raw arrays;
+- ``UncompactedGraph``, the enumerator with compaction off, for the raw
+  arrays and counters that compaction must not change;
+- ``brute_force_violations`` (``conftest.py``) and
+  ``reference_a3_failures``, the axiom checks ``verify`` is compared with.
+
+``InvariantCheckingGraph``, ``PeakLiveGraph`` and ``PowerLoopRecorder``
+are instruments: they record or check the engine's own run.
+"""
+
+import functools
 import random
 import tracemalloc
-from array import array
 
 import numpy as np
 import pytest
@@ -32,6 +51,7 @@ from quandleforge.cli import export_json
 from quandleforge.engine import CayleyGraph, _LimitHit
 from quandleforge.families import load_diagram_text, table1_rows
 from quandleforge.words import GeneratorSymbol, GroupWord, Letter, invert
+from reference import ReferenceGraph, standardize
 
 GKMN_16_8_8 = FamilyParams("Gkmn", k=16, m=8, n=8)
 THETA = "gens: a b c\nedges: a:1 b:2 c:3\nlabels: 3 3 2\nrel * : a b c\n"
@@ -43,6 +63,10 @@ TABLE1_BELOW_10K = [row for row in table1_rows() if row["expected"] < 10_000]
 
 def theta(labels=(3, 3, 2)):
     return expand_relations(parse_presentation(THETA).with_labels(labels))
+
+
+def diagram_presentation(name):
+    return wirtinger(parse_diagram(load_diagram_text(name)))
 
 
 def enumerate_ok(pres, limit=100000):
@@ -58,106 +82,17 @@ def run_graph(pres, limits):
     return graph
 
 
-class ForwardOnlyGraph(CayleyGraph):
-    """The enumerator with the forward-only walk that ``trace`` replaced,
-    kept as an oracle: it creates a vertex for every undefined letter but
-    the last, then closes the last letter onto the goal."""
-
-    def trace(self, start, letters, target=None):
-        parent = self.parent
-        find = self.find
-        cur = start if parent[start] == start else find(start)
-        if target is None:
-            goal = cur
-        else:
-            goal = target if parent[target] == target else find(target)
-        if not letters:
-            return [] if goal == cur else [(cur, goal)]
-        pending = []
-        max_steps = self.limits.max_steps
-        steps = self.stats.steps
-        last = len(letters) - 1
-        try:
-            for i, (out_table, in_table) in enumerate(letters):
-                steps += 1
-                if steps > max_steps:
-                    raise _LimitHit
-                nxt = out_table[cur]
-                if nxt >= 0:
-                    if parent[nxt] != nxt:
-                        nxt = find(nxt)
-                    if i == last and nxt != goal:
-                        pending.append((nxt, goal))
-                    cur = nxt
-                elif i < last:
-                    new = self.add_vertex()
-                    out_table[cur] = new
-                    in_table[new] = cur
-                    cur = new
-                else:
-                    back = in_table[goal]
-                    if back >= 0:
-                        if parent[back] != back:
-                            back = find(back)
-                        if back != cur:
-                            pending.append((back, cur))
-                    else:
-                        out_table[cur] = goal
-                        in_table[goal] = cur
-        finally:
-            self.stats.steps = steps
-        return pending
-
-
 class UncompactedGraph(CayleyGraph):
-    """The enumerator without compaction, kept as a reference: it holds a
-    row for every vertex it creates, and finalizes by resolving each
-    stored vertex id through ``parent`` to the creation-order index of
-    its representative."""
+    """The enumerator with compaction off during :meth:`run`, kept as a
+    reference: it holds a row for every vertex it creates, and compacts
+    once, in :meth:`finalize`."""
 
-    def compact(self, position):
-        return position
-
-    def finalize(self):
-        parent = np.frombuffer(self.parent, dtype=np.int32, count=self.size)
-        order = np.flatnonzero(parent == np.arange(self.size, dtype=np.int32))
-
-        def element(ids):
-            while True:
-                up = parent[ids]
-                if np.array_equal(up, ids):
-                    return np.searchsorted(order, ids)
-                ids = up
-
-        def resolve(tables):
-            raw = np.empty((len(tables), len(order)), dtype=np.int32)
-            for table, row in zip(tables, raw):
-                np.take(np.frombuffer(table, dtype=np.int32), order, out=row)
-            return np.where(raw >= 0, element(raw), -1)
-
-        arrays = (
-            resolve(self.fwd), resolve(self.bwd),
-            element(np.asarray(self.basepoint, dtype=np.int64)),
-        )
-        for a in arrays:
-            a.flags.writeable = False
-        return engine.Quandle(self.pres, *arrays)
-
-
-class TwoTableGraph(CayleyGraph):
-    """The enumerator before involutory generators shared a table, kept as
-    a reference: two tables for every generator whatever its label, and
-    words traced as ``GroupWord`` reduces them, with no reduction in the
-    free product."""
-
-    def __init__(self, pres, limits):
-        super().__init__(pres, limits)
-        self.bwd = [array("i", b) if b is f else b for f, b in zip(self.fwd, self.bwd)]
-        self.pairs = self.distinct = list(zip(self.fwd + self.bwd, self.bwd + self.fwd))
-
-    def letters(self, word):
-        ngens = len(self.fwd)
-        return [self.pairs[letter.gen.id if letter.sign > 0 else ngens + letter.gen.id] for letter in word]
+    def run(self):
+        self.compact = lambda position: position
+        try:
+            return super().run()
+        finally:
+            del self.compact
 
 
 class InvariantCheckingGraph(CayleyGraph):
@@ -346,10 +281,10 @@ def test_step_limit_hit_inside_collapse():
     )
 
 
-def _fresh_graph(cls=CayleyGraph, labels=(2, 2, 2)):
+def _fresh_graph(labels=(2, 2, 2)):
     # enumeration state right after the basepoint loops, no relations traced
     pres = theta(labels)
-    return pres, cls(pres, EnumerationLimits(1000, 10**6))
+    return pres, CayleyGraph(pres, EnumerationLimits(1000, 10**6))
 
 
 def test_trace_existing_loop_is_noop():
@@ -398,13 +333,6 @@ def test_trace_creates_only_the_gap_vertices():
     assert graph.stats.vertices_created == 4 + 2
     assert graph.stats.steps == 4
     assert graph.fwd[b][graph.fwd[c][graph.fwd[b][v]]] == va
-    # the forward-only walk also creates a vertex for the defined suffix,
-    # to be merged into va
-    oracle = _fresh_graph(ForwardOnlyGraph)[1]
-    v = oracle.add_vertex()
-    assert oracle.trace(v, oracle.letters(word), va) == [(va, v + 3)]
-    assert oracle.stats.vertices_created == 4 + 3
-    assert oracle.stats.steps == 4
 
 
 def test_trace_gap_of_one_closes_by_deduction():
@@ -1060,7 +988,7 @@ def raw_presentations():
     for row in TABLE1_BELOW_10K:
         yield family_presentation(FamilyParams(row["family"], labels=tuple(row["labels"])))
     for name in ("theta3", "h1", "kt", "hopf", "k4planar", "dh"):
-        yield wirtinger(parse_diagram(load_diagram_text(name)))
+        yield diagram_presentation(name)
 
 
 def test_raw_and_expanded_presentations_enumerate_alike():
@@ -1088,10 +1016,11 @@ def test_limits_reject_vertex_ids_beyond_int32():
 
 
 # engine counters of the gap-only scan on shared involution tables; any
-# change to the algorithm, its order or its numbering shows here.  Against
-# the two-table engine (TwoTableGraph), created and merges fell on all
-# but theta3(3,3,2), where they are equal; live and relations traced of
-# the completed runs are unchanged
+# change to the algorithm, its order or its numbering shows here.  On
+# every comparison input the engine creates and merges no more vertices
+# than the reference enumerator (test_gap_scan_matches_forward_only_walk),
+# and PlainSweepGraph's counters, steps included, equal the engine's on
+# every input and budget it is run at (test_sweep_matches_the_plain_sweep*)
 @pytest.mark.parametrize("params, limits, counters", [
     (FamilyParams("K4knot"), EnumerationLimits(2_000_000, 20_000), (3268, 960, 6483, 20001, 2308)),
     (FamilyParams("K4knot"), EnumerationLimits(5000, 10**9), (5000, 1476, 9913, 30596, 3524)),
@@ -1129,26 +1058,6 @@ def test_memory_per_created_vertex():
     assert peak / res.stats.vertices_created <= 4 * (2 * g - i) + 64
 
 
-def _run_both(pres, limits):
-    """The forward-only oracle and the enumerator, each run to its end."""
-    oracle, graph = ForwardOnlyGraph(pres, limits), CayleyGraph(pres, limits)
-    return oracle, oracle.run(), graph, graph.run()
-
-
-def assert_same_quandle_with_less_work(oracle, graph):
-    a, b = oracle.finalize(), graph.finalize()
-    assert a.actions.shape == b.actions.shape
-    for name in ("actions", "inverses", "basepoint"):
-        assert np.array_equal(getattr(a, name), getattr(b, name)), name
-    ref, new = oracle.stats, graph.stats
-    assert (new.live, new.relations_traced) == (ref.live, ref.relations_traced)
-    assert new.vertices_created <= ref.vertices_created
-    assert new.merges <= ref.merges
-    # both charge one step per letter traced, so only merges are saved
-    assert ref.steps - new.steps == ref.merges - new.merges
-    assert new.vertices_created - new.merges == new.live
-
-
 EQUIVALENCE_INPUTS = (
     [
         (f"table1-{row['family']}-{'_'.join(map(str, row['labels']))}",
@@ -1160,23 +1069,56 @@ EQUIVALENCE_INPUTS = (
         (f"Gkmn-{k}_{m}_{n}", FamilyParams("Gkmn", k=k, m=m, n=n))
         for k in range(1, 5) for m in range(1, 5) for n in range(1, 5)
     ]
-    + [("diagram-kt", None)]
+    + [("diagram-kt", "kt")]
 )
+COMPARISON_INPUTS = EQUIVALENCE_INPUTS + [("Gkmn-16_8_8", GKMN_16_8_8)]
 
 
-@pytest.mark.parametrize(
-    "params", [p for _, p in EQUIVALENCE_INPUTS], ids=[name for name, _ in EQUIVALENCE_INPUTS]
-)
-def test_gap_scan_matches_forward_only_walk(params):
-    """The gap-only scan ends with the quandle of the forward-only walk,
-    numbered the same, after fewer created vertices and merges."""
-    if params is None:
-        pres = expand_relations(wirtinger(parse_diagram(load_diagram_text("kt"))))
-    else:
-        pres = expand_relations(family_presentation(params))
-    oracle, oracle_done, graph, done = _run_both(pres, EnumerationLimits(2_000_000, 10**9))
-    assert oracle_done and done
-    assert_same_quandle_with_less_work(oracle, graph)
+def comparison_presentation(source):
+    """The expanded presentation of a comparison input: family parameters,
+    or the name of a shipped diagram."""
+    return expand_relations(diagram_presentation(source) if isinstance(source, str) else family_presentation(source))
+
+
+def over(inputs):
+    """Parametrize a test over comparison inputs, by their names."""
+    return pytest.mark.parametrize("source", [source for _, source in inputs], ids=[name for name, _ in inputs])
+
+
+def assert_matches_the_reference(quandle, reference):
+    """The same arrays as the reference's, in the standard numbering."""
+    got = standardize(quandle.actions, quandle.inverses, quandle.basepoint)
+    for name, ours, theirs in zip(("actions", "inverses", "basepoint"), got, reference):
+        assert np.array_equal(ours, theirs), name
+
+
+@functools.cache
+def engine_and_reference(source):
+    """The engine's and the reference's enumerations of a comparison
+    input, each run once for the two tests that read them."""
+    pres = comparison_presentation(source)
+    return enumerate_quandle(pres, EnumerationLimits(2_000_000, 10**9)), ReferenceGraph(pres, 2_000_000).run()
+
+
+@over(COMPARISON_INPUTS)
+def test_shared_tables_match_two_tables(source):
+    """Sharing the involutions' tables and reducing words in the free
+    product, the engine ends with the quandle of the reference, which
+    keeps two tables per generator and traces words as written."""
+    res, reference = engine_and_reference(source)
+    assert res.completed and reference is not None
+    assert_matches_the_reference(res.graph, reference)
+
+
+@over(COMPARISON_INPUTS)
+def test_gap_scan_matches_forward_only_walk(source):
+    """The gap-only scan ends with as many elements as the reference's
+    forward-only walk, after no more created vertices and merges."""
+    res, reference = engine_and_reference(source)
+    assert res.completed and reference is not None
+    assert res.stats.live == len(reference.actions[0])
+    assert res.stats.vertices_created <= reference.created
+    assert res.stats.merges <= reference.merges
 
 
 # The settings of every property test here: derandomized, so that a failure
@@ -1210,16 +1152,17 @@ def small_presentations(draw, max_primaries=1):
 @settings(PROPERTY, max_examples=120)
 @given(small_presentations())
 def test_gap_scan_matches_forward_only_walk_on_random_presentations(brute_force, pres):
-    oracle, oracle_done, graph, done = _run_both(pres, EnumerationLimits(3000, 10**6))
-    if oracle_done:
-        assert done
-        assert_same_quandle_with_less_work(oracle, graph)
-    if done:
-        assert not [v for v in brute_force(graph.finalize(), pres) if v.startswith("A3")]
+    res = enumerate_quandle(pres, EnumerationLimits(3000, 10**6))
+    reference = ReferenceGraph(pres, 3000).run()
+    if reference is not None:
+        assert res.completed
+        assert_matches_the_reference(res.graph, reference)
+    if res.completed:
+        assert not [v for v in brute_force(res.graph, pres) if v.startswith("A3")]
     # the one-pass sweep leaves no universal loop open; verify rejects a
     # primary joining generators of unequal labels whatever the engine does
-    if done and all(pres.label_of(r.lhs_base) == pres.label_of(r.rhs) for r in pres.primaries):
-        assert verify(graph.finalize(), pres) == []
+    if res.completed and all(pres.label_of(r.lhs_base) == pres.label_of(r.rhs) for r in pres.primaries):
+        assert verify(res.graph, pres) == []
 
 
 @settings(PROPERTY, max_examples=150)
@@ -1233,47 +1176,21 @@ def test_verify_matches_the_every_generator_check_on_random_presentations(pres, 
             assert_verify_matches_reference(_random_swaps(res.graph, np.random.default_rng(seed)), pres)
 
 
-@pytest.mark.parametrize(
-    "params", [p for _, p in EQUIVALENCE_INPUTS], ids=[name for name, _ in EQUIVALENCE_INPUTS]
-)
-def test_shared_tables_match_two_tables(params):
-    """Sharing the involutions' tables gives the two-table engine's quandle,
-    numbered the same, from no more created vertices.  No proof is known
-    that it must: on random presentations both can differ (below)."""
-    if params is None:
-        pres = expand_relations(wirtinger(parse_diagram(load_diagram_text("kt"))))
-    else:
-        pres = expand_relations(family_presentation(params))
-    limits = EnumerationLimits(2_000_000, 10**9)
-    reference, graph = TwoTableGraph(pres, limits), CayleyGraph(pres, limits)
-    assert reference.run() and graph.run()
-    a, b = reference.finalize(), graph.finalize()
-    for name in ("actions", "inverses", "basepoint"):
-        assert getattr(a, name).dtype == getattr(b, name).dtype, name
-        assert np.array_equal(getattr(a, name), getattr(b, name)), name
-    assert graph.stats.live == reference.stats.live
-    assert graph.stats.vertices_created <= reference.stats.vertices_created
-
-
 def test_shared_tables_match_two_tables_on_random_presentations():
-    """The same quandle as the two-table engine's up to renumbering: the
-    size and the canonical code of every generator's component.  Over
-    3,000 such examples, 9 of 2,539 completed ones were numbered apart and
-    14 created more vertices than the two-table engine, so neither the
-    numbering nor the count is compared here."""
+    """The same quandle as the two-table reference's, in the standard
+    numbering, wherever the reference completes.  Over 3,000 such
+    examples, 2,564 completed on both sides and none on one alone."""
     completed = []
 
     @settings(PROPERTY, max_examples=150)
     @given(small_presentations(max_primaries=2))
     def check(pres):
-        limits = EnumerationLimits(3000, 10**6)
-        reference, graph = TwoTableGraph(pres, limits), CayleyGraph(pres, limits)
-        completed.append(reference.run() and graph.run())
+        res = enumerate_quandle(pres, EnumerationLimits(3000, 10**6))
+        reference = ReferenceGraph(pres, 3000).run()
+        completed.append(reference is not None)
         if completed[-1]:
-            a, b = reference.finalize(), graph.finalize()
-            assert graph.stats.live == reference.stats.live
-            for g in range(len(pres.generators)):
-                assert canonical_code(b, b.basepoint[g]) == canonical_code(a, a.basepoint[g])
+            assert res.completed
+            assert_matches_the_reference(res.graph, reference)
 
     check()
     assert sum(completed) >= len(completed) / 2
@@ -1433,7 +1350,7 @@ def test_derived_generator_keeps_the_quandle_on_the_battery():
     """Two derived generators, each on its own, on each finite diagram."""
     rng = random.Random(16)
     for name in ("theta3", "h1", "kt", "hopf", "k4planar", "dh"):
-        pres = wirtinger(parse_diagram(load_diagram_text(name)))
+        pres = diagram_presentation(name)
         before = enumerate_ok(pres, 10**6)
         for _ in range(2):
             base = rng.choice(pres.generators)
@@ -1454,27 +1371,21 @@ def test_two_runs_agree_on_random_presentations(pres):
             assert np.array_equal(getattr(a.graph, name), getattr(b.graph, name)), name
 
 
-COMPACTION_INPUTS = [(name, p) for name, p in EQUIVALENCE_INPUTS if p is not None] + [
-    ("Gkmn-16_8_8", GKMN_16_8_8)
-]
-
-
-@pytest.mark.parametrize(
-    "params", [p for _, p in COMPACTION_INPUTS], ids=[name for name, _ in COMPACTION_INPUTS]
-)
-def test_compaction_changes_no_output(params):
+@over(COMPARISON_INPUTS)
+def test_compaction_changes_no_output(source):
     """Compacting the rows of dead vertices changes neither the finished
-    quandle nor a counter."""
-    pres = expand_relations(family_presentation(params))
+    quandle, numbered as it stands, nor a counter."""
+    pres = comparison_presentation(source)
     limits = EnumerationLimits(2_000_000, 10**9)
     reference, graph = UncompactedGraph(pres, limits), CayleyGraph(pres, limits)
     assert reference.run() and graph.run()
+    assert reference.size == reference.stats.vertices_created
     assert graph.stats == reference.stats
     a, b = reference.finalize(), graph.finalize()
     for name in ("actions", "inverses", "basepoint"):
         assert getattr(a, name).dtype == getattr(b, name).dtype, name
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
-    if params == GKMN_16_8_8:
+    if source == GKMN_16_8_8:
         assert len(graph.parent) < graph.stats.vertices_created
 
 
@@ -1520,15 +1431,9 @@ def assert_sweeps_agree(pres, limits):
     return plain, graph
 
 
-@pytest.mark.parametrize(
-    "params", [p for _, p in EQUIVALENCE_INPUTS], ids=[name for name, _ in EQUIVALENCE_INPUTS]
-)
-def test_sweep_matches_the_plain_sweep(params):
-    if params is None:
-        pres = expand_relations(wirtinger(parse_diagram(load_diagram_text("kt"))))
-    else:
-        pres = expand_relations(family_presentation(params))
-    assert_sweeps_agree(pres, EnumerationLimits(2_000_000, 10**9))
+@over(EQUIVALENCE_INPUTS)
+def test_sweep_matches_the_plain_sweep(source):
+    assert_sweeps_agree(comparison_presentation(source), EnumerationLimits(2_000_000, 10**9))
 
 
 # the vertex budget binds two vertices into a gap at 5000 and as a gap

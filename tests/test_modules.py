@@ -1,6 +1,8 @@
 """Module boundaries inside the package."""
 
 import ast
+import importlib
+import inspect
 from pathlib import Path
 
 import pytest
@@ -39,6 +41,38 @@ def test_no_module_imports_a_private_name_of_another():
     assert modules
     for path in modules:
         assert private_imports(path.read_text(encoding="utf-8")) == [], path.name
+
+
+def engine_imports(source: str) -> list[str]:
+    """What a source imports of ``quandleforge.engine``: the module, or a
+    name defined there, imported directly or as the package re-exports it."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [alias.name for alias in node.names if alias.name == "quandleforge.engine"]
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "quandleforge":
+            module = importlib.import_module(node.module)
+            for alias in node.names:
+                value = getattr(module, alias.name)
+                home = value.__name__ if inspect.ismodule(value) else getattr(value, "__module__", node.module)
+                if home == "quandleforge.engine":
+                    found.append(f"{node.module}:{alias.name}")
+    return found
+
+
+def test_engine_imports_are_found():
+    source = "import quandleforge.engine\nfrom quandleforge import engine, loop_words, Quandle\n"
+    assert engine_imports(source) == ["quandleforge.engine", "quandleforge:engine", "quandleforge:Quandle"]
+    assert engine_imports("from quandleforge.engine import verify\nimport numpy") == ["quandleforge.engine:verify"]
+    assert engine_imports("from quandleforge.presentation import loop_words\n") == []
+
+
+def test_the_reference_enumerator_shares_no_engine_code():
+    """``tests/reference.py`` checks the engine, so it reads nothing of it:
+    no name from ``quandleforge.engine`` and no private name."""
+    source = (Path(__file__).parent / "reference.py").read_text(encoding="utf-8")
+    assert engine_imports(source) == []
+    assert private_imports(source) == []
 
 
 def calls_to(name: str, source: str) -> int:
