@@ -64,9 +64,13 @@ def _add_input_options(sub: argparse.ArgumentParser):
 
 
 def _label_option(text: str) -> tuple[int, ...]:
-    """The --labels value, a list separated by commas or spaces."""
+    """The --labels value, a list separated by commas or spaces, with no
+    empty field between, before or after its commas."""
     try:
-        labels = tuple(int(tok) for tok in text.replace(",", " ").split())
+        fields = text.split(",")
+        if len(fields) > 1 and not all(field.strip() for field in fields):
+            raise ValueError(text)
+        labels = tuple(int(tok) for field in fields for tok in field.split())
         check_labels(labels)
     except FieldError as exc:
         raise ValueError(f"--labels: {exc}") from None
@@ -187,6 +191,8 @@ def format_table(quandle: Quandle):
 
 
 def cmd_enumerate(args) -> int:
+    """The ``enumerate`` subcommand, and ``verify`` as its ``verify``
+    format, which reports on stdout: each violation, then a verdict."""
     pres = _load_presentation(args)
     result = enumerate_quandle(pres, _limits(args))
     if not result.completed:
@@ -194,6 +200,12 @@ def cmd_enumerate(args) -> int:
         return 2
     quandle = result.graph
     violations = verify(quandle, pres)
+    if args.format == "verify":
+        size = result.stats.live
+        verdict = f"{len(violations)} violations" if violations else "ok"
+        lines = [f"{violation}\n" for violation in violations]
+        _emit(lines + [f"verify: {verdict} (size {size}; table: {table_check(size)})\n"], args.output)
+        return 1 if violations else 0
     if args.format == "stats":
         _emit([format_stats(result)], args.output)
     elif args.format == "dot":
@@ -207,20 +219,6 @@ def cmd_enumerate(args) -> int:
             print(f"verify: {violation}", file=sys.stderr)
         return 1
     return 0
-
-
-def cmd_verify(args) -> int:
-    pres = _load_presentation(args)
-    result = enumerate_quandle(pres, _limits(args))
-    if not result.completed:
-        print(format_stats(result), end="")
-        return 2
-    violations = verify(result.graph, pres)
-    for violation in violations:
-        print(violation)
-    print(f"verify: {'ok' if not violations else f'{len(violations)} violations'} "
-          f"(size {result.stats.live}; table: {table_check(result.stats.live)})")
-    return 0 if not violations else 1
 
 
 def _batch_exit(statuses: list[str]) -> int:
@@ -290,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ver = subs.add_parser("verify", help="enumerate and check axioms and relations")
     _add_input_options(ver)
-    ver.set_defaults(func=cmd_verify)
+    ver.set_defaults(func=cmd_enumerate, format="verify", output=None)
 
     reg = subs.add_parser("regress", help="run the shipped size-regression manifest")
     _add_limit_options(reg)

@@ -39,9 +39,9 @@ vertex after later edges or merges can never change anything.  And
 liveness only goes from live to dead, so every vertex still live at the
 end was live when the sweep pointer passed it, and had every universal
 loop closed at it then.  Enumeration finishes when the sweep pointer
-passes the last vertex; it aborts with a limit-exceeded report when the
-vertex or step budget runs out, which is the only possible outcome for
-an infinite quandle.
+passes the last vertex; it stops with a limit-exceeded report when a
+budget runs out, which is the only possible outcome for an infinite
+quandle.
 
 The enumerator holds rows in proportion to its live vertices: whenever
 dead rows outnumber live ones at a sweep boundary, it compacts, renumbering
@@ -50,10 +50,13 @@ last compaction, after which vertex ids are element indices; it copies the
 tables once into a read-only :class:`Quandle` (dense arrays over
 elements), which every analysis function here takes.
 
-The block creation of step 3 changes nothing that is counted or built:
-the vertices, edges, merges, counters, limit points and numbering are
-those of creating each gap vertex on its own, and ``max_vertices`` still
-bounds the vertices created, the basepoints of step 1 included.
+The stop rule.  The run does its work in units: the basepoints of step
+1, each primary relation with its collapse, and each live sweep vertex's
+loops with their collapses.  After each unit, and only there, it checks
+``steps > max_steps or vertices_created > max_vertices``, and it stops at
+the first check that holds.  A stopped run reports its true counts, which
+pass a budget by at most the work of that one unit; a budget equal to a
+count does not stop the run.
 
 Everything is deterministic: identical inputs give identical numberings.
 Coincidence processing keeps the lower-numbered vertex as representative.
@@ -85,7 +88,8 @@ class EnumerationLimits:
     ``max_vertices`` counts created vertices, including those later
     merged away, although compaction drops the rows of dead ones: it
     bounds the work, not the rows held.  Vertex ids are stored as int32,
-    so it is at most 2**31 - 1.
+    so it is at most 2**31 - 1.  Both are checked between units of work,
+    by the stop rule of the module docstring.
     """
 
     max_vertices: int = DEFAULT_MAX_VERTICES
@@ -126,10 +130,6 @@ class EnumerationResult:
         return self.outcome == "completed"
 
 
-class _LimitHit(Exception):
-    pass
-
-
 class Quandle(NamedTuple):
     """A finished N-quandle: the live part of a completed Cayley graph as
     read-only dense arrays.
@@ -163,9 +163,11 @@ class CayleyGraph:
     to a goal, forward and backward, creating vertices and edges only for
     the undefined gap between the scans and returning coincidences;
     :meth:`collapse` merges them; :meth:`run` applies both to the
-    presentation's relations until the graph is complete or a limit is
-    hit, and :meth:`finalize` then turns it into a read-only
-    :class:`Quandle`, on which all analysis runs.
+    presentation's relations until the graph is complete or a budget has
+    run out, and :meth:`finalize` then turns it into a read-only
+    :class:`Quandle`, on which all analysis runs.  Only :meth:`run` reads
+    the budgets; everything else just counts, so constructing a graph
+    never stops at one.
 
     Per generator, ``fwd`` and ``bwd`` hold a partial bijection on
     vertices and its inverse; -1 marks an undefined image.  A generator
@@ -195,10 +197,7 @@ class CayleyGraph:
     within about twice the peak live count.  ``limits.max_vertices`` bounds
     created vertices, not live ones or rows held.
 
-    :meth:`trace` creates a gap's vertices in one block, checking the
-    vertex budget once for all of them; ``stats`` counts every created
-    vertex as if each were made by :meth:`add_vertex`.  :meth:`run`
-    alone closes an involution's power loop ``g g``, which
+    :meth:`run` alone closes an involution's power loop ``g g``, which
     :meth:`letters` reduces to nothing.
     """
 
@@ -231,8 +230,6 @@ class CayleyGraph:
         self.parent.extend(undefined)
 
     def add_vertex(self) -> int:
-        if self.stats.vertices_created >= self.limits.max_vertices:
-            raise _LimitHit
         v = self.size
         if v == len(self.parent):
             self._grow()
@@ -327,22 +324,12 @@ class CayleyGraph:
         coincidence.  Returns the coincidences discovered; no merging
         happens here.
 
-        The gap's vertices are made in one block: the tables grow at most
-        once, and each vertex is counted in ``stats.vertices_created``.  A
-        gap that would take the count past ``limits.max_vertices`` is not
-        begun: the count is set to ``max_vertices``, where creating the
-        vertices one by one would have stopped, and the limit is hit.
-
-        Each letter costs one step.  A trace that would take the step
-        count past ``limits.max_steps`` is not started: the count is set
-        to ``max_steps + 1`` and the limit is hit.
+        Each letter costs one step.  The gap's vertices are made in one
+        block, in the order and with the ids that making them one by one
+        would give them, and each is counted in ``stats.vertices_created``.
         """
         stats = self.stats
-        steps = stats.steps + len(letters)
-        if steps > self.limits.max_steps:
-            stats.steps = self.limits.max_steps + 1
-            raise _LimitHit
-        stats.steps = steps
+        stats.steps += len(letters)
         cur, goal = start, start if target is None else target
         for i, (out_table, _) in enumerate(letters):
             nxt = out_table[cur]
@@ -362,11 +349,7 @@ class CayleyGraph:
             end = prev
             last -= 1
         if last > i:  # create the gap's vertices in one block
-            created = stats.vertices_created + last - i
-            if created > self.limits.max_vertices:
-                stats.vertices_created = self.limits.max_vertices
-                raise _LimitHit
-            stats.vertices_created = created
+            stats.vertices_created += last - i
             parent, size = self.parent, self.size
             self.size = size + last - i
             while self.size > len(parent):
@@ -393,108 +376,111 @@ class CayleyGraph:
         that in-edge, the two are queued as a coincidence instead.  Only
         queued ids can be dead, so only they are resolved through
         :meth:`find`.  Afterwards every live row names only live vertices,
-        and no live vertex has two same-labeled edges in or out.
+        and no live vertex has two same-labeled edges in or out.  Each
+        merge costs one step.
         """
         parent = self.parent
         find = self.find
         pairs = self.distinct
-        max_steps = self.limits.max_steps
-        steps, merges = self.stats.steps, self.stats.merges
-        try:
-            while queue:
-                u, v = queue.pop()
-                ru = u if parent[u] == u else find(u)
-                rv = v if parent[v] == v else find(v)
-                if ru == rv:
+        merges = 0
+        while queue:
+            u, v = queue.pop()
+            ru = u if parent[u] == u else find(u)
+            rv = v if parent[v] == v else find(v)
+            if ru == rv:
+                continue
+            if rv < ru:
+                ru, rv = rv, ru
+            parent[rv] = ru
+            merges += 1
+            for table, inverse in pairs:
+                tv = table[rv]
+                if tv < 0:
                     continue
-                if rv < ru:
-                    ru, rv = rv, ru
-                steps += 1
-                if steps > max_steps:
-                    raise _LimitHit
-                parent[rv] = ru
-                merges += 1
-                for table, inverse in pairs:
-                    tv = table[rv]
-                    if tv < 0:
-                        continue
-                    inverse[tv] = -1  # was rv
-                    if tv == rv:
-                        tv = ru
-                    tu = table[ru]
-                    if tu >= 0:
-                        if tu != tv:
-                            queue.append((tu, tv))
-                    elif inverse[tv] >= 0:
-                        queue.append((inverse[tv], ru))
-                    else:
-                        table[ru] = tv
-                        inverse[tv] = ru
-        finally:
-            self.stats.steps, self.stats.merges = steps, merges
+                inverse[tv] = -1  # was rv
+                if tv == rv:
+                    tv = ru
+                tu = table[ru]
+                if tu >= 0:
+                    if tu != tv:
+                        queue.append((tu, tv))
+                elif inverse[tv] >= 0:
+                    queue.append((inverse[tv], ru))
+                else:
+                    table[ru] = tv
+                    inverse[tv] = ru
+        self.stats.steps += merges
+        self.stats.merges += merges
 
     # -- the enumeration and its result -------------------------------------
 
     def run(self) -> bool:
         """Run Winker's method on the presentation; True once the graph is
-        complete, False when a limit was hit.  Either way ``stats.live``
-        is set to the number of live vertices.
+        complete, False when a budget has run out.  Either way
+        ``stats.live`` is set to the number of live vertices.
 
-        Once a vertex's universal relations are traced, the graph is
-        compacted if at least ``_CHUNK`` rows are dead and dead rows
-        outnumber live ones."""
+        This is the one place that reads ``limits``: between the units of
+        work of :meth:`_units`, it stops at the first check where a count
+        is over its budget (the stop rule of the module docstring)."""
+        stats = self.stats
+        max_steps, max_vertices = self.limits.max_steps, self.limits.max_vertices
+        # any() stops drawing units at the first check that finds a count over
+        stopped = any(stats.steps > max_steps or stats.vertices_created > max_vertices for _ in self._units())
+        stats.live = stats.vertices_created - stats.merges
+        return not stopped
+
+    def _units(self):
+        """Winker's method, yielding after each unit of work: the
+        basepoints, each primary relation and its collapse, and each live
+        sweep vertex's universal relations and their collapses.
+
+        Once a vertex's universal relations are traced, and the run goes
+        on, the graph is compacted if at least ``_CHUNK`` rows are dead
+        and dead rows outnumber live ones."""
         pres, stats = self.pres, self.stats
         trace, collapse, find = self.trace, self.collapse, self.find
-        max_steps = self.limits.max_steps
         # each loop's letters, and g's one table T for the power loop g g of an involutory g
         universals = []
         for word in loop_words(pres):
             g = word.letters[0].gen.id
             power = len(word) == 2 and word.letters[0] == word.letters[1] and self.fwd[g] is self.bwd[g]
             universals.append((self.letters(word), self.fwd[g] if power else None))
-        try:
-            for rel in pres.primaries:
-                start = find(self.basepoint[rel.lhs_base.id])
-                target = find(self.basepoint[rel.rhs.id])
-                pending = trace(start, self.letters(rel.word), target)
-                if pending:
-                    collapse(pending)
-                stats.relations_traced += 1
+        yield  # the basepoints, made by the constructor
+        for rel in pres.primaries:
+            start = find(self.basepoint[rel.lhs_base.id])
+            target = find(self.basepoint[rel.rhs.id])
+            pending = trace(start, self.letters(rel.word), target)
+            if pending:
+                collapse(pending)
+            stats.relations_traced += 1
+            yield
 
-            parent = self.parent
-            v = 0
-            while v < self.size:  # the sweep creates vertices as it goes
-                if parent[v] == v:
-                    cur = v
-                    for letters, table in universals:
-                        if table is None:
-                            pending = trace(cur, letters)
-                            if pending:
-                                collapse(pending)
-                                if parent[cur] != cur:
-                                    cur = find(cur)
-                        else:
-                            # the power loop g g: T is an involution on live
-                            # rows, so the loop is open at cur where T[cur] < 0
-                            steps = stats.steps + 2
-                            if steps > max_steps:
-                                stats.steps = max_steps + 1
-                                raise _LimitHit
-                            stats.steps = steps
-                            if table[cur] < 0:
-                                table[cur] = u = self.add_vertex()
-                                table[u] = cur
-                        stats.relations_traced += 1
-                    dead = self.size - (stats.vertices_created - stats.merges)
-                    if dead >= _CHUNK and 2 * dead > self.size:
-                        v = self.compact(v + 1)
-                        continue
-                v += 1
-        except _LimitHit:
-            return False
-        finally:
-            stats.live = stats.vertices_created - stats.merges
-        return True
+        parent = self.parent
+        v = 0
+        while v < self.size:  # the sweep creates vertices as it goes
+            if parent[v] == v:
+                cur = v
+                for letters, table in universals:
+                    if table is None:
+                        pending = trace(cur, letters)
+                        if pending:
+                            collapse(pending)
+                            if parent[cur] != cur:
+                                cur = find(cur)
+                    else:
+                        # the power loop g g: T is an involution on live
+                        # rows, so the loop is open at cur where T[cur] < 0
+                        stats.steps += 2
+                        if table[cur] < 0:
+                            table[cur] = u = self.add_vertex()
+                            table[u] = cur
+                    stats.relations_traced += 1
+                yield
+                dead = self.size - (stats.vertices_created - stats.merges)
+                if dead >= _CHUNK and 2 * dead > self.size:
+                    v = self.compact(v + 1)
+                    continue
+            v += 1
 
     def finalize(self) -> Quandle:
         """The live part of the graph as a read-only :class:`Quandle`.
@@ -524,15 +510,10 @@ def enumerate_quandle(pres: Presentation, limits: EnumerationLimits | None = Non
     The sweep traces the loops of ``loop_words(pres)``, derived from the
     labels ``pres`` carries, so the caller need not expand the
     presentation.  Returns the finished :class:`Quandle`, or a
-    limit-exceeded report with partial statistics; hitting a limit is a
-    report, not an error.
+    limit-exceeded report with the counts at the check that stopped the
+    run; running out of a budget is a report, not an error.
     """
-    limits = limits or EnumerationLimits()
-    try:
-        graph = CayleyGraph(pres, limits)
-    except _LimitHit:  # the basepoints alone exceed the vertex budget; none merged
-        created = limits.max_vertices
-        return EnumerationResult("limit-exceeded", None, EnumerationStats(created, live=created))
+    graph = CayleyGraph(pres, limits or EnumerationLimits())
     if not graph.run():
         return EnumerationResult("limit-exceeded", None, graph.stats)
     quandle = graph.finalize()

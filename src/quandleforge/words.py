@@ -231,9 +231,8 @@ def _parse_sequence(text, pos, symbols, line, col0, toplevel):
                 raise ParseError("unbalanced ')'", line, col0 + pos + 1)
             return letters, pos
         if ch == "(":
+            # a nested sequence returns only at its ')', and raises without one
             inner, pos = _parse_sequence(text, pos + 1, symbols, line, col0, toplevel=False)
-            if pos >= n or text[pos] != ")":
-                raise ParseError("missing ')'", line, col0 + pos + 1)
             pos += 1
         else:
             name = _match_generator(text, pos, symbols)

@@ -242,6 +242,9 @@ def test_input_errors_exit_one(capsys, tmp_path):
     ((), "error: exactly one of --family and --input is required\n"),
     (("--family", "theta3", "--labels", "3,x"), "error: --labels: bad label list '3,x'\n"),
     (("--family", "theta3", "--labels", "3,0"), "error: --labels: edge label must be >= 1, got 0\n"),
+    (("--family", "theta3", "--labels", "3,,3,2"), "error: --labels: bad label list '3,,3,2'\n"),
+    (("--family", "theta3", "--labels", ",3,3,2"), "error: --labels: bad label list ',3,3,2'\n"),
+    (("--family", "theta3", "--labels", "3,3,2,"), "error: --labels: bad label list '3,3,2,'\n"),
 ])
 def test_command_line_faults_name_the_option(capsys, argv, err):
     """A fault in the command line has no file position to point at."""
@@ -323,19 +326,33 @@ def test_enumerate_emits_then_exits_one_on_a_violation(capsys, monkeypatch):
     assert err == "verify: a\nverify: b\n"
 
 
+def test_verify_prints_each_violation_then_exits_one(capsys, monkeypatch):
+    monkeypatch.setattr("quandleforge.cli.verify", lambda graph, pres: ["a", "b"])
+    assert invoke(capsys, "verify", "--family", "theta3", "--labels", "3,3,2") == (
+        1, "a\nb\nverify: 2 violations (size 14; table: full)\n", ""
+    )
+
+
+def test_oracle_check_prints_a_fail_line(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "gkmn_size", lambda k, m, n: 0)
+    assert invoke(capsys, "oracle-check", "--k", "2", "--m", "2", "--n", "3") == (
+        1, "FAIL  G(2,2,3): size_ok=False Qa_ok=True Qd_ok=True\n", ""
+    )
+
+
 def test_verify_on_a_limit_exits_two_with_stats(capsys):
-    # the last two budgets are below the generator count
-    for argv, budget in [
-        (("verify", "--family", "K4knot"), "5000"),
-        (("verify", "--family", "Gkm", "--k", "1", "--m", "2"), "1"),
-        (("enumerate", "--family", "theta3", "--labels", "3,3,2", "--format", "stats"), "2"),
+    # the last two budgets are below the generator count, which is created
+    for argv, budget, created in [
+        (("verify", "--family", "K4knot"), "5000", 5003),
+        (("verify", "--family", "Gkm", "--k", "1", "--m", "2"), "1", 3),
+        (("enumerate", "--family", "theta3", "--labels", "3,3,2", "--format", "stats"), "2", 3),
     ]:
         code, out, err = invoke(capsys, *argv, "--max-vertices", budget)
         assert code == 2
         assert err == ""
         lines = out.splitlines()
         assert lines[0] == "outcome=limit-exceeded"
-        assert f"vertices_created={budget}" in lines
+        assert f"vertices_created={created}" in lines
         assert [line.split("=")[0] for line in lines[1:]] == [
             "vertices_created", "merges", "relations_traced", "steps", "live",
         ]

@@ -9,13 +9,13 @@ Each comparison of the engine names its reference:
   engine must also create and merge no more vertices, and on random
   presentations;
 - ``PlainSweepGraph``, the enumerator before its sweep was streamlined,
-  for the exact counters, limit points and raw arrays;
+  for the exact counters, stop points and raw arrays;
 - ``UncompactedGraph``, the enumerator with compaction off, for the raw
   arrays and counters that compaction must not change;
 - ``brute_force_violations`` (``conftest.py``) and
   ``reference_a3_failures``, the axiom checks ``verify`` is compared with.
 
-``InvariantCheckingGraph``, ``PeakLiveGraph`` and ``PowerLoopRecorder``
+``InvariantCheckingGraph``, ``PeakLiveGraph`` and ``CheckRecorder``
 are instruments: they record or check the engine's own run.
 """
 
@@ -48,7 +48,7 @@ from quandleforge import (
 )
 from quandleforge import engine
 from quandleforge.cli import export_json
-from quandleforge.engine import CayleyGraph, _LimitHit
+from quandleforge.engine import CayleyGraph
 from quandleforge.families import load_diagram_text, table1_rows
 from quandleforge.words import GeneratorSymbol, GroupWord, Letter, invert
 from reference import ReferenceGraph, standardize
@@ -150,7 +150,8 @@ class PlainSweepGraph(CayleyGraph):
     reference: ``trace`` creates each gap vertex through ``add_vertex``,
     and ``run`` traces every universal loop, the power loops of the
     involutory generators included, which ``letters`` keeps unreduced
-    when ``loop`` is true."""
+    when ``loop`` is true.  ``run`` checks the budgets where the stop rule
+    says, after the basepoints, each primary and each live vertex's loops."""
 
     def letters(self, word, loop=False):
         ngens = len(self.fwd)
@@ -165,13 +166,12 @@ class PlainSweepGraph(CayleyGraph):
                 reduced.append(pair)
         return reduced
 
+    def over_budget(self):
+        stats, limits = self.stats, self.limits
+        return stats.steps > limits.max_steps or stats.vertices_created > limits.max_vertices
+
     def trace(self, start, letters, target=None):
-        stats = self.stats
-        steps = stats.steps + len(letters)
-        if steps > self.limits.max_steps:
-            stats.steps = self.limits.max_steps + 1
-            raise _LimitHit
-        stats.steps = steps
+        self.stats.steps += len(letters)
         cur, goal = start, start if target is None else target
         for i, (out_table, _) in enumerate(letters):
             nxt = out_table[cur]
@@ -204,35 +204,36 @@ class PlainSweepGraph(CayleyGraph):
     def run(self):
         pres, stats = self.pres, self.stats
         universals = [self.letters(word, loop=True) for word in loop_words(pres)]
-        try:
-            for rel in pres.primaries:
-                start = self.find(self.basepoint[rel.lhs_base.id])
-                target = self.find(self.basepoint[rel.rhs.id])
-                pending = self.trace(start, self.letters(rel.word), target)
-                if pending:
-                    self.collapse(pending)
-                stats.relations_traced += 1
-            parent = self.parent
-            v = 0
-            while v < self.size:
-                if parent[v] == v:
-                    cur = v
-                    for letters in universals:
-                        pending = self.trace(cur, letters)
-                        if pending:
-                            self.collapse(pending)
-                            cur = self.find(cur)
-                        stats.relations_traced += 1
-                    dead = self.size - (stats.vertices_created - stats.merges)
-                    if dead >= engine._CHUNK and 2 * dead > self.size:
-                        v = self.compact(v + 1)
-                        continue
-                v += 1
-        except _LimitHit:
-            return False
-        finally:
-            stats.live = stats.vertices_created - stats.merges
-        return True
+        done = not self.over_budget()  # the basepoints
+        for rel in pres.primaries:
+            if not done:
+                break
+            start = self.find(self.basepoint[rel.lhs_base.id])
+            target = self.find(self.basepoint[rel.rhs.id])
+            pending = self.trace(start, self.letters(rel.word), target)
+            if pending:
+                self.collapse(pending)
+            stats.relations_traced += 1
+            done = not self.over_budget()
+        parent = self.parent
+        v = 0
+        while done and v < self.size:
+            if parent[v] == v:
+                cur = v
+                for letters in universals:
+                    pending = self.trace(cur, letters)
+                    if pending:
+                        self.collapse(pending)
+                        cur = self.find(cur)
+                    stats.relations_traced += 1
+                done = not self.over_budget()
+                dead = self.size - (stats.vertices_created - stats.merges)
+                if done and dead >= engine._CHUNK and 2 * dead > self.size:
+                    v = self.compact(v + 1)
+                    continue
+            v += 1
+        stats.live = stats.vertices_created - stats.merges
+        return done
 
 
 def test_single_generator_free_quandle():
@@ -262,22 +263,31 @@ def test_limit_exceeded_is_report_not_error():
     res = enumerate_quandle(pres, EnumerationLimits(10000, 10**9))
     assert res.outcome == "limit-exceeded"
     assert res.graph is None
-    assert res.stats.vertices_created >= 10000
-    assert res.stats.live > 0
-    # a budget below the generator count: the basepoints hit it before any relation is traced
+    assert res.stats.as_dict() == dict(
+        vertices_created=10003, merges=3940, relations_traced=22483, steps=69978, live=6063
+    )
+    # a budget below the generator count: the check after the basepoints
+    # stops the run before any relation is traced, with every basepoint counted
     res = enumerate_quandle(theta(), EnumerationLimits(2, 10**9))
     assert (res.outcome, res.graph) == ("limit-exceeded", None)
-    assert res.stats.as_dict() == dict(vertices_created=2, merges=0, relations_traced=0, steps=0, live=2)
+    assert res.stats.as_dict() == dict(vertices_created=3, merges=0, relations_traced=0, steps=0, live=3)
 
 
 def test_step_limit_hit_inside_collapse():
-    # empty-word primaries trace for free, so the second one's merge is the
-    # step past the budget, and collapse raises before making it
+    """Empty-word primaries trace for free, so the second one's merge is the
+    step past a budget of 1.  Collapse makes it, and the check after that
+    primary stops the run.  A budget of 2 equals the count there and does
+    not stop it: the next check, after the first sweep vertex's loops, does."""
     pres = parse_presentation("gens: a b c\nedges: a:1 b:2 c:3\nlabels: 2 2 2\nrel a : = b\nrel a : = c\n")
     res = enumerate_quandle(pres, EnumerationLimits(100, 1))
     assert res.outcome == "limit-exceeded"
     assert res.stats.as_dict() == dict(
-        vertices_created=3, merges=1, relations_traced=1, steps=2, live=2
+        vertices_created=3, merges=2, relations_traced=2, steps=2, live=1
+    )
+    res = enumerate_quandle(pres, EnumerationLimits(100, 2))
+    assert res.outcome == "limit-exceeded"
+    assert res.stats.as_dict() == dict(
+        vertices_created=3, merges=2, relations_traced=7, steps=12, live=1
     )
 
 
@@ -360,14 +370,14 @@ def test_trace_scans_meeting_at_different_vertices_return_one_pair():
 def test_run_closes_each_open_power_loop_with_one_vertex():
     """With only the power loops a a and b b of two involutions, the sweep
     charges each two steps and one relation traced, and where one is open
-    at v, makes one vertex u with T[v] = u and T[u] = v, until the vertex
-    budget stops it at b b of vertex 3."""
+    at v, makes one vertex u with T[v] = u and T[u] = v.  The vertex budget
+    of 5 stops it after the loops of vertex 3, which make the sixth vertex."""
     pres = parse_presentation("gens: a b\nedges: a:1 b:2\nlabels: 2 2\n")
     graph = CayleyGraph(pres, EnumerationLimits(5, 10**6))
     assert not graph.run()
     ta, tb = graph.fwd
-    assert (list(ta[:5]), list(tb[:5])) == ([0, 3, 4, 1, 2], [2, 1, 0, -1, -1])
-    assert graph.stats.as_dict() == dict(vertices_created=5, merges=0, relations_traced=7, steps=16, live=5)
+    assert (list(ta[:6]), list(tb[:6])) == ([0, 3, 4, 1, 2, -1], [2, 1, 0, 5, -1, 3])
+    assert graph.stats.as_dict() == dict(vertices_created=6, merges=0, relations_traced=8, steps=16, live=6)
 
 
 def test_trace_complete_forward_scan_returns_endpoints():
@@ -542,6 +552,16 @@ def test_verify_passes_on_h1():
     res = enumerate_ok(pres)
     assert res.stats.live == 32
     assert verify(res.graph, pres) == []
+
+
+def test_verify_names_a_partial_action():
+    """An undefined image is reported alone: no later check reads a
+    partial action."""
+    quandle = enumerate_ok(theta()).graph
+    actions = quandle.actions.copy()
+    actions[1, 5] = -1
+    broken = quandle._replace(actions=actions)
+    assert verify(broken, broken.pres) == ["action of b partial at element 5"]
 
 
 def test_verify_reports_on_an_edge_split_across_components():
@@ -1009,6 +1029,13 @@ def test_raw_and_expanded_presentations_enumerate_alike():
         assert got.graph.pres is raw
 
 
+@pytest.mark.parametrize("max_vertices, max_steps", [(0, 10), (10, 0), (-1, -1)])
+def test_limits_must_be_positive(max_vertices, max_steps):
+    with pytest.raises(ValueError) as err:
+        EnumerationLimits(max_vertices, max_steps)
+    assert str(err.value) == "enumeration limits must be positive"
+
+
 def test_limits_reject_vertex_ids_beyond_int32():
     assert EnumerationLimits(max_vertices=2**31 - 1).max_vertices == 2**31 - 1
     with pytest.raises(ValueError, match="int32"):
@@ -1022,10 +1049,10 @@ def test_limits_reject_vertex_ids_beyond_int32():
 # and PlainSweepGraph's counters, steps included, equal the engine's on
 # every input and budget it is run at (test_sweep_matches_the_plain_sweep*)
 @pytest.mark.parametrize("params, limits, counters", [
-    (FamilyParams("K4knot"), EnumerationLimits(2_000_000, 20_000), (3268, 960, 6483, 20001, 2308)),
-    (FamilyParams("K4knot"), EnumerationLimits(5000, 10**9), (5000, 1476, 9913, 30596, 3524)),
-    (FamilyParams("K4knot"), EnumerationLimits(2_000_000, 200_000), (25950, 12147, 63950, 200001, 13803)),
-    (FamilyParams("K4knot"), EnumerationLimits(40_000, 10**9), (40000, 19983, 102669, 321574, 20017)),
+    (FamilyParams("K4knot"), EnumerationLimits(2_000_000, 20_000), (3275, 962, 6499, 20047, 2313)),
+    (FamilyParams("K4knot"), EnumerationLimits(5000, 10**9), (5003, 1476, 9923, 30619, 3527)),
+    (FamilyParams("K4knot"), EnumerationLimits(2_000_000, 200_000), (25950, 12147, 63955, 200009, 13803)),
+    (FamilyParams("K4knot"), EnumerationLimits(40_000, 10**9), (40001, 19983, 102675, 321585, 20018)),
     (FamilyParams("Gkmn", k=2, m=3, n=5), EnumerationLimits(), (557, 405, 1540, 5641, 152)),
     (FamilyParams("DH", labels=(2, 2, 2, 3, 2, 2)), EnumerationLimits(), (202, 100, 1430, 3876, 102)),
     (FamilyParams("theta3", labels=(3, 3, 2)), EnumerationLimits(), (18, 4, 56, 158, 14)),
@@ -1415,19 +1442,15 @@ def test_rows_held_follow_the_live_count():
 
 def assert_sweeps_agree(pres, limits):
     """The enumerator ends where :class:`PlainSweepGraph` does, with the same
-    counters and, unless the vertex budget stopped both, the same graph.
-    Returns the two graphs, finalized where they were compared."""
+    counters, rows and arrays.  Returns the two graphs, finalized."""
     plain, graph = PlainSweepGraph(pres, limits), CayleyGraph(pres, limits)
     done = plain.run()
     assert graph.run() == done
     assert graph.stats == plain.stats
-    # at the vertex budget the per-letter path has made part of a gap before
-    # it stops, where the block path makes none of it
-    if done or plain.stats.vertices_created < limits.max_vertices:
-        assert graph.size == plain.size
-        a, b = plain.finalize(), graph.finalize()
-        for name in ("actions", "inverses", "basepoint"):
-            assert np.array_equal(getattr(a, name), getattr(b, name)), name
+    assert graph.size == plain.size
+    a, b = plain.finalize(), graph.finalize()
+    for name in ("actions", "inverses", "basepoint"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
     return plain, graph
 
 
@@ -1436,53 +1459,68 @@ def test_sweep_matches_the_plain_sweep(source):
     assert_sweeps_agree(comparison_presentation(source), EnumerationLimits(2_000_000, 10**9))
 
 
-# the vertex budget binds two vertices into a gap at 5000 and as a gap
-# begins at 40,000: the per-letter path had made that many of the gap's
-# vertices when it stopped
-@pytest.mark.parametrize("max_vertices, begun", [(5000, 2), (40_000, 0)])
-def test_sweep_matches_the_plain_sweep_at_a_vertex_budget(max_vertices, begun):
+@pytest.mark.parametrize("max_vertices, created", [(5000, 5003), (40_000, 40_001)])
+def test_sweep_matches_the_plain_sweep_at_a_vertex_budget(max_vertices, created):
     limits = EnumerationLimits(max_vertices, 10**9)
-    plain, graph = assert_sweeps_agree(expand_relations(family_presentation(FamilyParams("K4knot"))), limits)
-    assert graph.stats.vertices_created == max_vertices
-    assert plain.size - graph.size == begun
+    _, graph = assert_sweeps_agree(expand_relations(family_presentation(FamilyParams("K4knot"))), limits)
+    assert graph.stats.vertices_created == created
 
 
 @pytest.mark.parametrize("max_steps", [20_000, 200_000])
 def test_sweep_matches_the_plain_sweep_at_a_step_budget(max_steps):
     limits = EnumerationLimits(2_000_000, max_steps)
     _, graph = assert_sweeps_agree(expand_relations(family_presentation(FamilyParams("K4knot"))), limits)
-    assert graph.stats.steps == max_steps + 1
+    assert graph.stats.steps == {20_000: 20_047, 200_000: 200_009}[max_steps]
 
 
-class PowerLoopRecorder(PlainSweepGraph):
-    """The plain sweep, recording the step count before each power loop
-    g g of an involutory g that is already closed where it is traced."""
+class CheckRecorder(PlainSweepGraph):
+    """The plain sweep, recording its counters at each budget check."""
 
     def __init__(self, pres, limits):
+        self.checks = []
         super().__init__(pres, limits)
-        self.closed_at = []
 
-    def trace(self, start, letters, target=None):
-        if len(letters) == 2 and letters[0][1] is letters[1][0] and letters[0][0][start] >= 0:
-            self.closed_at.append(self.stats.steps)
-        return super().trace(start, letters, target)
+    def over_budget(self):
+        stats = self.stats
+        self.checks.append(dict(stats.as_dict(), live=stats.vertices_created - stats.merges))
+        return super().over_budget()
 
 
-def test_sweep_matches_the_plain_sweep_at_a_step_budget_on_a_power_loop():
-    """One step short of a closed power loop's two, the enumerator stops at
-    that loop as the plain sweep does; with both steps left, it charges
-    them and stops at the next trace."""
+def test_run_stops_at_the_first_check_past_a_budget():
+    """Under each budget, the run stops with the counters of the first
+    check at which a count is over it: one less than the count at a check
+    stops the run there, and the count itself lets it go on.  The checks
+    are those after the basepoints, after each of the 3 primaries and
+    after each live sweep vertex's loops."""
     pres = expand_relations(family_presentation(FamilyParams("K4knot")))
-    recorder = PowerLoopRecorder(pres, EnumerationLimits(2_000_000, 20_000))
+    recorder = CheckRecorder(pres, EnumerationLimits(2_000_000, 20_000))
     assert not recorder.run()
-    assert len(recorder.closed_at) > 1000
-    steps = recorder.closed_at[1000]
-    relations = []
-    for budget in (steps + 1, steps + 2):
-        _, graph = assert_sweeps_agree(pres, EnumerationLimits(2_000_000, budget))
-        assert graph.stats.steps == budget + 1
-        relations.append(graph.stats.relations_traced)
-    assert relations[1] == relations[0] + 1  # the loop itself, charged in full
+    checks = recorder.checks
+    assert len(pres.primaries) == 3 and len(checks) > 100
+    assert checks[0] == dict(vertices_created=9, merges=0, relations_traced=0, steps=0, live=9)
+    for k in (0, 1, 2, 3, 4, 5, 50, 100):
+        for key, budget_of in (("steps", lambda b: EnumerationLimits(2_000_000, b)),
+                               ("vertices_created", lambda b: EnumerationLimits(b, 10**9))):
+            for budget in (checks[k][key] - 1, checks[k][key]):
+                if budget < 1:
+                    continue
+                _, graph = assert_sweeps_agree(pres, budget_of(budget))
+                stop = next(check for check in checks if check[key] > budget)
+                assert graph.stats.as_dict() == stop, (key, budget)
+
+
+def test_the_check_after_the_last_vertex_stops_a_run():
+    """The last check comes after the last sweep vertex's loops, which
+    take steps at every vertex: one step less than a completed run takes
+    stops it there, with every count of the completed run, and the same
+    number of steps lets it complete."""
+    pres = theta()
+    completed = enumerate_ok(pres).stats
+    assert completed.steps == 158
+    for budget, done in ((157, False), (158, True)):
+        graph = CayleyGraph(pres, EnumerationLimits(1000, budget))
+        assert graph.run() == done
+        assert graph.stats == completed
 
 
 @settings(PROPERTY, max_examples=100)

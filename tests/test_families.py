@@ -79,6 +79,17 @@ def test_unread_parameters_are_rejected(params, message):
         family_presentation(params)
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: family_presentation(FamilyParams("Gkm", k=1)), "Gkm requires --k and --m"),
+    (lambda: build_explicit_Qa(2, 0, 1), "build_explicit_Qa requires k, m, n >= 1"),
+    (lambda: build_explicit_Qd(0, 2), "build_explicit_Qd requires k, m >= 1"),
+], ids=["Gkm-without-m", "Qa-empty-grid", "Qd-empty-grid"])
+def test_twist_parameters_are_checked(build, message):
+    with pytest.raises(ValueError) as err:
+        build()
+    assert str(err.value) == message
+
+
 def test_unknown_family():
     with pytest.raises(ValueError):
         family_presentation(FamilyParams("nosuch"))

@@ -97,6 +97,55 @@ def test_only_the_engine_expands_relations():
     assert {name for name, source in sources.items() if calls_to("expand_relations", source)} == set()
 
 
+BUDGETS = {"max_steps", "max_vertices"}
+
+
+def budget_readers(source: str) -> set[str]:
+    """The functions of a module's source, by qualified name, that read a
+    ``max_steps`` or ``max_vertices`` attribute; a nested function counts
+    as itself, not as the function around it."""
+    found = set()
+
+    def visit(node, scope, function):
+        if isinstance(node, ast.Attribute) and node.attr in BUDGETS and isinstance(node.ctx, ast.Load):
+            found.add(function)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+            if not isinstance(node, ast.ClassDef):
+                function = scope
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope, function)
+
+    visit(ast.parse(source), "", None)
+    return found
+
+
+def test_budget_readers_are_found():
+    source = (
+        "class G:\n"
+        "    def run(self):\n"
+        "        def inner():\n"
+        "            return self.limits.max_vertices\n"
+        "        return self.limits.max_steps\n"
+        "    def trace(self):\n"
+        "        self.max_steps = 1\n"
+        "budget = limits.max_steps\n"
+    )
+    assert budget_readers(source) == {"G.run", "G.run.inner", None}
+
+
+def test_only_the_run_reads_the_budgets():
+    """``CayleyGraph.run`` is the one owner of both budgets: no other
+    function of the engine reads them, except the limits' own check, and
+    the engine raises no exception of its own to stop a run."""
+    path = PACKAGE / "engine.py"
+    source = path.read_text(encoding="utf-8")
+    assert budget_readers(source) == {"EnumerationLimits.__post_init__", "CayleyGraph.run"}
+    engine = importlib.import_module("quandleforge.engine")
+    classes = [getattr(engine, node.name) for node in ast.walk(ast.parse(source)) if isinstance(node, ast.ClassDef)]
+    assert classes and [cls.__name__ for cls in classes if issubclass(cls, BaseException)] == []
+
+
 def unused_imports(source: str) -> list[str]:
     """The names a module's source imports but never reads (``from
     __future__`` imports aside), sorted."""

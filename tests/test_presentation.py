@@ -9,6 +9,7 @@ from quandleforge import (
     FamilyParams,
     GeneratorSymbol,
     GroupWord,
+    Letter,
     ParseError,
     Presentation,
     PrimaryRelation,
@@ -95,10 +96,18 @@ def test_parse_errors(text, message):
         ("gens: a a^2\nedges: a:1 a^2:1\nlabels: 3\nrel * : a^2\n",
          "line 1, col 1: generator name 'a^2' is not an identifier"),
         ("labels: 1\ngens: (a\nedges: (a:1\n", "line 2, col 1: generator name '(a' is not an identifier"),
+        ("# no names\ngens:\nlabels: 1\n", "line 2, col 6: empty generator list"),
+        ("gens: a b\nedges: a:1 b:2\nlabels: 2 2\nrel z : a = b\n",
+         "line 4, col 4: unknown generator 'z' in relation"),
+        ("gens: a b\nedges: a:1 b:2\nlabels: 2 2\nrel a : b = z\n",
+         "line 4, col 8: unknown generator 'z' in relation"),
+        ("labels: 1\n", "line 1, col 1: missing 'gens:' line"),
+        ("gens: a\nedges: a:1\n", "line 1, col 1: missing 'labels:' line"),
     ],
     ids=["stray-label", "edge-beyond-labels", "generator-without-edge", "no-edges-line",
          "duplicate-labels", "duplicate-gens", "duplicate-generator", "prime-in-name", "power-in-name",
-         "paren-in-name"],
+         "paren-in-name", "empty-gens", "unknown-head", "unknown-right-side", "no-gens-line",
+         "no-labels-line"],
 )
 def test_parse_errors_point_at_their_line(text, where):
     """Errors found once the whole file is read point at the line that
@@ -237,6 +246,24 @@ def test_built_presentation_names_are_identifiers():
     with pytest.raises(FieldError, match="generator name \"a'\" is not an identifier") as err:
         Presentation([a], {a: 1}, (2,))
     assert err.value.key == "gens"
+
+
+A, Z = GeneratorSymbol(0, "a"), GeneratorSymbol(1, "z")
+
+
+@pytest.mark.parametrize("fields, message", [
+    (dict(generators=[Z], edge_of={Z: 1}), "generator ids must be dense 0..g-1; z has id 1 at 0"),
+    (dict(primaries=[PrimaryRelation(A, GroupWord(), Z)]), "primary relation a^[1] = z uses unknown generator"),
+    (dict(primaries=[PrimaryRelation(A, GroupWord([Letter(Z, 1)]), A)]),
+     "primary relation a^[z] = a uses unknown generator 'z'"),
+    (dict(universals=[GroupWord([Letter(Z, -1)])]), "universal relation x^[z'] = x uses unknown generator 'z'"),
+], ids=["sparse-ids", "unknown-end", "unknown-letter", "unknown-universal-letter"])
+def test_built_presentation_faults(fields, message):
+    """A presentation built in code is checked as a parsed one is."""
+    fields = dict(dict(generators=[A], edge_of={A: 1}, labels=(2,)), **fields)
+    with pytest.raises(ValueError) as err:
+        Presentation(**fields)
+    assert str(err.value) == message
 
 
 def test_edge_map_rejects_an_unknown_generator():

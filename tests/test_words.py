@@ -166,6 +166,13 @@ def test_parse_word_errors(bad):
         parse_word(bad, SYMS)
 
 
+@pytest.mark.parametrize("text, col", [("(ab", 4), ("(a(b)", 6), ("((a)", 5)])
+def test_unclosed_group_names_where_the_text_ends(text, col):
+    with pytest.raises(ParseError) as err:
+        parse_word(text, SYMS)
+    assert str(err.value) == f"line 1, col {col}: missing ')'"
+
+
 def test_read_key_lines():
     text = "# header\n\n gens : a b  # trailing\nrel * : a\n"
     assert list(read_key_lines(text)) == [(3, "gens", "a b", 7), (4, "rel *", "a", 7)]
